@@ -1,7 +1,8 @@
 // The benchmark cost model: maps measured protocol behaviour (messages,
 // round trips) to time, and measured per-memnode message demand to capacity
-// limits. See DESIGN.md §1 — every protocol action in a benchmark run is
-// executed for real; ONLY the mapping to seconds is modeled here.
+// limits. See docs/ARCHITECTURE.md, "The coordinator-round cost model" —
+// every protocol action in a benchmark run is executed for real; ONLY the
+// mapping to seconds is modeled here.
 //
 // Calibration targets (constants fixed once against the paper's observed
 // absolute operating points, then used unchanged for every experiment):

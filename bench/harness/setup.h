@@ -86,7 +86,8 @@ inline void PrintHeader(const char* title, const char* columns) {
   std::printf("# %s\n", title);
   std::printf(
       "# Real protocol execution; time via the calibrated cost model "
-      "(bench/harness/cost_model.h). See EXPERIMENTS.md.\n");
+      "(bench/harness/cost_model.h). See docs/ARCHITECTURE.md, "
+      "\"The coordinator-round cost model\".\n");
   std::printf("%s\n", columns);
 }
 

@@ -280,6 +280,20 @@ Result<std::pair<uint64_t, bool>> NodeAllocator::TakeReserved(
   return slab;
 }
 
+void NodeAllocator::ReturnReserved(MemnodeId memnode,
+                                   std::pair<uint64_t, bool> slab) {
+  {
+    Reservation& r = *reserved_[memnode];
+    std::lock_guard<std::mutex> g(r.mu);
+    r.pool.push_back(slab);
+  }
+  auto& live = *live_[memnode];
+  uint64_t cur = live.load(std::memory_order_relaxed);
+  while (cur > 0 && !live.compare_exchange_weak(cur, cur - 1,
+                                                std::memory_order_relaxed)) {
+  }
+}
+
 Result<AllocatedSlab> NodeAllocator::Allocate(txn::DynamicTxn& txn,
                                               MemnodeId memnode) {
   if (memnode >= n_memnodes()) {
@@ -300,6 +314,11 @@ Result<AllocatedSlab> NodeAllocator::Allocate(txn::DynamicTxn& txn,
       live_[memnode]->fetch_sub(1, std::memory_order_relaxed);
       return taken.status();
     }
+    // The reservation was paid for outside `txn`: if `txn` aborts, the
+    // slab goes back to the pool instead of leaking.
+    txn.OnAbort([this, memnode, slab = *taken] {
+      ReturnReserved(memnode, slab);
+    });
     AllocatedSlab slab;
     slab.ref = layout_.SlabRef(Addr{memnode, taken->first});
     slab.fresh = taken->second;

@@ -156,6 +156,10 @@ class NodeAllocator {
   // replenishment drains the shared free list first (so garbage-collected
   // slabs are reused), then falls back to the bump pointer.
   Result<std::pair<uint64_t, bool>> TakeReserved(MemnodeId memnode);
+  // Put back a slab TakeReserved handed to a transaction that aborted: it
+  // is still counted as occupied in the metadata, and would otherwise be
+  // lost to both the pool and the free list.
+  void ReturnReserved(MemnodeId memnode, std::pair<uint64_t, bool> slab);
 
   // Return every slab in `m`'s reservation pool to the shared free list
   // (one standalone transaction). BeginDrain calls this so reserved-but-

@@ -404,6 +404,10 @@ Result<Addr> BTree::WriteFreshNodeAt(DynamicTxn& txn, const Node& node,
 Status BTree::RecordCopy(DynamicTxn& txn, Addr old_addr, Node old_node,
                          uint64_t sid, Addr copy_addr) {
   old_node.descendants.push_back(DescendantEntry{sid, copy_addr, false});
+  // The old slab is garbage once the GC horizon reaches `sid`. Recorded
+  // before commit: an entry from an attempt that aborts is harmless (the
+  // collector re-checks the slab transactionally before freeing it).
+  if (retired_ != nullptr) retired_->Add(old_addr, sid);
 
   // Enforce the §5.2 invariant: keep at most β descendant entries by
   // folding subsets of copies under their LCA via a discretionary copy.

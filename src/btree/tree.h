@@ -27,6 +27,7 @@
 #include "alloc/allocator.h"
 #include "btree/node.h"
 #include "btree/node_view.h"
+#include "btree/retire_list.h"
 #include "btree/version_oracle.h"
 #include "common/payload.h"
 #include "common/status.h"
@@ -313,6 +314,10 @@ class BTree {
   // Replace the ancestry oracle (installed by the version manager when a
   // tree is switched to branching mode).
   void set_oracle(const VersionOracle* oracle) { oracle_ = oracle; }
+  // Append every real copy this instance records to `retired` (linear
+  // trees; the slot's GarbageCollector owns the list). Set before the
+  // instance is shared; nullptr (the default) records nothing.
+  void set_retire_list(RetireList* retired) { retired_ = retired; }
 
  private:
   enum class TraverseMode {
@@ -522,6 +527,7 @@ class BTree {
   // handed a catalog-shared Stats (see Stats doc above).
   mutable Stats own_stats_;
   Stats* stats_;
+  RetireList* retired_ = nullptr;
 };
 
 // Encoders for the small tip/catalog payloads (shared with mvcc/version).

@@ -54,7 +54,8 @@ Cluster::Cluster(ClusterOptions options) : options_(options) {
   memnodes_.reserve(capacity);
   std::vector<sinfonia::Memnode*> raw;
   for (uint32_t i = 0; i < options_.machines; i++) {
-    memnodes_.push_back(std::make_unique<sinfonia::Memnode>(i));
+    memnodes_.push_back(
+        std::make_unique<sinfonia::Memnode>(i, MemnodeOptions()));
     raw.push_back(memnodes_.back().get());
   }
   sinfonia::Coordinator::Options copts;
@@ -93,7 +94,8 @@ Cluster::Cluster(ClusterOptions options) : options_(options) {
 
   catalog_ = std::make_unique<TreeCatalog>(
       coord_.get(), allocator_.get(), &linear_oracle_, this,
-      layout_.max_trees(), options_.cache_capacity);
+      layout_.max_trees(), options_.cache_capacity,
+      [this](uint32_t slot) { return ReclaimFloor(slot); });
 
   const uint32_t n_proxies =
       options_.proxies > 0 ? options_.proxies : options_.machines;
@@ -290,9 +292,18 @@ void Cluster::DropProxyCaches() {
   for (auto& proxy : proxies_) proxy->cache()->Clear();
 }
 
+sinfonia::Memnode::Options Cluster::MemnodeOptions() const {
+  // One lock slot per node slab; 64-byte slots for the small objects
+  // below the slab region.
+  sinfonia::Memnode::Options mopts;
+  mopts.slab_base = layout_.slab_base();
+  mopts.node_size = layout_.node_size;
+  return mopts;
+}
+
 Result<uint32_t> Cluster::AddMemnode() {
   const uint32_t id = coord_->n_memnodes();
-  auto node = std::make_unique<sinfonia::Memnode>(id);
+  auto node = std::make_unique<sinfonia::Memnode>(id, MemnodeOptions());
   // The durable store must exist BEFORE the node joins: its first
   // replicated write logs through it.
   if (options_.durability != wal::DurabilityMode::kNone) {
@@ -348,6 +359,10 @@ Status Cluster::RemoveMemnode(uint32_t id, RemoveMemnodeOptions opts) {
     if (!remaining.ok()) return remaining.status();
     for (uint32_t round = 0; *remaining > 0 && round < opts.max_gc_rounds;
          round++) {
+      // Re-flush the donor's reservation pool (BeginDrain is idempotent):
+      // an allocation that aborts after the first flush hands its slab
+      // back to the pool, where it would keep counting as occupied.
+      MINUET_RETURN_NOT_OK(allocator_->BeginDrain(id));
       for (uint32_t slot = 0; slot < n_trees(); slot++) {
         auto handle = OpenTree(slot);
         if (!handle.ok() || handle->branching()) continue;
@@ -424,15 +439,17 @@ Result<mvcc::GarbageCollector::Report> Cluster::CollectGarbage(
   if (gc == nullptr) {
     return Status::InvalidArgument("no such tree slot");
   }
+  return gc->CollectOnce(catalog_->snapshot_service(tree)->LowestRetained(),
+                         ReclaimFloor(tree));
+}
+
+uint64_t Cluster::ReclaimFloor(uint32_t tree) const {
   // With durability on, reclamation may not pass the last complete
   // checkpoint pass: a recovered image is as old as its checkpoint + WAL,
   // and must never chase a reference into a slab reused since then.
-  const uint64_t floor =
-      options_.durability == wal::DurabilityMode::kNone
-          ? UINT64_MAX
-          : ckpt_sid_floor_[tree].load(std::memory_order_acquire);
-  return gc->CollectOnce(catalog_->snapshot_service(tree)->LowestRetained(),
-                         floor);
+  return options_.durability == wal::DurabilityMode::kNone
+             ? UINT64_MAX
+             : ckpt_sid_floor_[tree].load(std::memory_order_acquire);
 }
 
 void Cluster::CrashMemnode(uint32_t id) { coord_->Crash(id); }

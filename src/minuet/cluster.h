@@ -584,6 +584,12 @@ class Cluster {
 
   // Open one memnode's durable store and hand it to the coordinator.
   Status OpenDurableStore(uint32_t id);
+  // Lock-table shape for every memnode, initial and added (layout_'s slab
+  // region).
+  sinfonia::Memnode::Options MemnodeOptions() const;
+  // The most a tree slot's GC may reclaim up to, beyond the snapshot
+  // horizon: ckpt_sid_floor_ with durability on, else UINT64_MAX.
+  uint64_t ReclaimFloor(uint32_t tree) const;
 };
 
 }  // namespace minuet

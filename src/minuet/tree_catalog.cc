@@ -6,12 +6,14 @@ TreeCatalog::TreeCatalog(sinfonia::Coordinator* coord,
                          alloc::NodeAllocator* allocator,
                          const btree::VersionOracle* linear_oracle,
                          const Cluster* owner, uint32_t capacity,
-                         size_t service_cache_capacity)
+                         size_t service_cache_capacity,
+                         std::function<uint64_t(uint32_t)> reclaim_floor)
     : coord_(coord),
       allocator_(allocator),
       linear_oracle_(linear_oracle),
       owner_(owner),
       capacity_(capacity),
+      reclaim_floor_(std::move(reclaim_floor)),
       service_cache_(
           std::make_unique<txn::ObjectCache>(service_cache_capacity)),
       entries_(new Entry[capacity]) {}
@@ -52,6 +54,14 @@ Result<TreeHandle> TreeCatalog::Register(
   e.snapshots = std::make_unique<mvcc::SnapshotService>(
       e.service_tree.get(), sopts, std::move(snapshot_clock));
   e.gc = std::make_unique<mvcc::GarbageCollector>(e.service_tree.get());
+  if (!branching) {
+    // Branching trees keep relying on the full pass (GC's copy rule is
+    // only exact for linear histories).
+    e.service_tree->set_retire_list(e.gc->retire_list());
+    e.snapshots->AttachReclaimer(e.gc.get(), [floor = reclaim_floor_, slot] {
+      return floor(slot);
+    });
+  }
   n_trees_.store(slot + 1, std::memory_order_release);
   return TreeHandle(slot, branching, owner_);
 }
@@ -73,6 +83,8 @@ TreeCatalog::ProxyTree TreeCatalog::Materialize(uint32_t slot,
   if (e.branching) {
     out.version_manager =
         std::make_unique<version::VersionManager>(out.tree.get());
+  } else {
+    out.tree->set_retire_list(e.gc->retire_list());
   }
   return out;
 }

@@ -11,7 +11,10 @@
 //   - the tree's SnapshotService and GarbageCollector, which run on a
 //     catalog-owned "service" BTree bound to the catalog's own cache —
 //     deliberately not any proxy's: proxies come and go (AddProxy /
-//     RemoveProxy), the snapshot/GC services do not,
+//     RemoveProxy), the snapshot/GC services do not. For a linear tree
+//     every BTree instance of the slot appends its copies to the GC's
+//     retire list, and the snapshot service drains it as the horizon
+//     advances,
 //   - the TreeOptions needed to materialize further instances.
 //
 // Proxies hold no tree state of their own beyond a lazily-attached view
@@ -48,9 +51,12 @@ class TreeCatalog {
   // `owner` is the minting cluster recorded in every handle; `capacity`
   // bounds the slot space (alloc::Layout::max_trees — the address-space
   // layout preallocates per-tree replicated objects against it).
+  // `reclaim_floor(slot)` caps how far a slot's horizon-driven reclamation
+  // may go (the durability checkpoint floor; UINT64_MAX when none).
   TreeCatalog(sinfonia::Coordinator* coord, alloc::NodeAllocator* allocator,
               const btree::VersionOracle* linear_oracle, const Cluster* owner,
-              uint32_t capacity, size_t service_cache_capacity);
+              uint32_t capacity, size_t service_cache_capacity,
+              std::function<uint64_t(uint32_t)> reclaim_floor);
 
   // Create and register one tree: claim the next slot, run the one-time
   // BTree::CreateTree minitransaction, and stand up the shared service
@@ -129,6 +135,7 @@ class TreeCatalog {
   const btree::VersionOracle* linear_oracle_;
   const Cluster* owner_;
   const uint32_t capacity_;
+  std::function<uint64_t(uint32_t)> reclaim_floor_;
   // The service trees' cache: shared across slots, incoherent with the
   // proxies' caches by design (§2.3 — staleness is caught by traversal
   // safety checks, not coherence).

@@ -66,22 +66,26 @@ Result<bool> GarbageCollector::TryFreeSlab(Addr addr, uint64_t lowest_sid,
   return true;
 }
 
+Status GarbageCollector::PublishHorizon(uint64_t lowest_sid) {
+  // Publish the horizon so other proxies / tools can observe it (and
+  // snapshot reads below it fail fast instead of chasing freed slabs).
+  const txn::ObjectRef ref = tree_->layout().LowestSidRef(tree_->tree_slot());
+  return txn::RunTransaction(
+      tree_->coordinator(), nullptr, {}, 64,
+      [&](txn::DynamicTxn& t) -> Status {
+        auto cur = t.Read(ref);
+        if (!cur.ok()) return cur.status();
+        if (btree::DecodeTipId(*cur) >= lowest_sid) return Status::OK();
+        return t.Write(ref, btree::EncodeTipId(lowest_sid));
+      });
+}
+
 Result<GarbageCollector::Report> GarbageCollector::CollectOnce(
     uint64_t lowest_sid) {
   Report report;
   const auto& layout = tree_->layout();
   sinfonia::Coordinator* coord = tree_->coordinator();
-
-  // Publish the horizon so other proxies / tools can observe it.
-  Status pub = txn::RunTransaction(
-      coord, nullptr, {}, 64, [&](txn::DynamicTxn& t) -> Status {
-        auto cur = t.Read(layout.LowestSidRef(tree_->tree_slot()));
-        if (!cur.ok()) return cur.status();
-        if (btree::DecodeTipId(*cur) >= lowest_sid) return Status::OK();
-        return t.Write(layout.LowestSidRef(tree_->tree_slot()),
-                       btree::EncodeTipId(lowest_sid));
-      });
-  MINUET_RETURN_NOT_OK(pub);
+  MINUET_RETURN_NOT_OK(PublishHorizon(lowest_sid));
 
   for (uint32_t m = 0; m < coord->n_memnodes(); m++) {
     // Retired ids (elastic scale-in) are permanent holes in the id space:
@@ -116,6 +120,40 @@ Result<GarbageCollector::Report> GarbageCollector::CollectOnce(
 Result<GarbageCollector::Report> GarbageCollector::CollectOnce(
     uint64_t lowest_sid, uint64_t reclaim_floor) {
   return CollectOnce(std::min(lowest_sid, reclaim_floor));
+}
+
+Result<GarbageCollector::Report> GarbageCollector::ReclaimRetired(
+    uint64_t horizon) {
+  Report report;
+  std::vector<btree::RetireList::Entry> due = retired_.TakeUpTo(horizon);
+  if (due.empty()) return report;
+  // The same slab may be listed more than once (retried attempts); one
+  // re-check per slab is enough.
+  std::sort(due.begin(), due.end(), [](const auto& a, const auto& b) {
+    return a.old_addr < b.old_addr;
+  });
+  due.erase(std::unique(due.begin(), due.end(),
+                        [](const auto& a, const auto& b) {
+                          return a.old_addr == b.old_addr;
+                        }),
+            due.end());
+  MINUET_RETURN_NOT_OK(PublishHorizon(horizon));
+  sinfonia::Coordinator* coord = tree_->coordinator();
+  for (const btree::RetireList::Entry& e : due) {
+    // Retired memnodes (elastic scale-in) hold nothing to free.
+    if (coord->retired(e.old_addr.memnode)) continue;
+    report.scanned++;
+    auto freed = TryFreeSlab(e.old_addr, horizon, &report);
+    if (!freed.ok()) {
+      report.skipped_live++;  // left to the next full pass
+      continue;
+    }
+    if (*freed) {
+      report.freed++;
+      total_freed_.Increment();
+    }
+  }
+  return report;
 }
 
 }  // namespace minuet::mvcc

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "mvcc/gc.h"
+
 namespace minuet::mvcc {
 
 SnapshotService::SnapshotService(BTree* tree, Options options,
@@ -60,10 +62,18 @@ Result<SnapshotRef> SnapshotService::CreateSnapshot(bool pin,
   // section; an advance of >= 2 proves a complete creation within this
   // call's window, making the latest snapshot borrowable.
   const uint64_t tmp1 = num_snapshots_.load(std::memory_order_acquire);
-  std::lock_guard<std::mutex> g(mutex_);
+  std::unique_lock<std::mutex> g(mutex_);
   const uint64_t tmp2 = num_snapshots_.load(std::memory_order_acquire);
   if (!options_.enable_borrowing || tmp2 < tmp1 + 2) {
-    return CreateLocked(pin, owner);
+    Result<SnapshotRef> snap = CreateLocked(pin, owner);
+    g.unlock();
+    // The new snapshot may have moved the horizon. Reclaim outside mutex_:
+    // it is fabric I/O and must not stall the next creation.
+    if (snap.ok() && gc_ != nullptr) {
+      IgnoreStatus(
+          gc_->ReclaimRetired(std::min(LowestRetained(), reclaim_floor_())));
+    }
+    return snap;
   }
   borrowed_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lg(last_mu_);
@@ -87,6 +97,7 @@ Result<SnapshotRef> SnapshotService::AcquireForScan(bool pin,
 
 void SnapshotService::Pin(uint64_t sid, LeaseOwner owner) {
   std::lock_guard<std::mutex> g(pins_mu_);
+  if (released_owners_.count(owner) != 0) return;
   pins_[sid]++;
   owner_pins_[owner][sid]++;
 }
@@ -108,6 +119,7 @@ void SnapshotService::Unpin(uint64_t sid, LeaseOwner owner) {
 
 uint64_t SnapshotService::ReleaseOwner(LeaseOwner owner) {
   std::lock_guard<std::mutex> g(pins_mu_);
+  if (owner != kNoLeaseOwner) released_owners_.insert(owner);
   auto oit = owner_pins_.find(owner);
   if (oit == owner_pins_.end()) return 0;
   uint64_t released = 0;
@@ -149,6 +161,12 @@ uint64_t SnapshotService::LowestRetained() const {
   std::lock_guard<std::mutex> g(pins_mu_);
   if (!pins_.empty()) horizon = std::min(horizon, pins_.begin()->first);
   return horizon;
+}
+
+void SnapshotService::AttachReclaimer(
+    GarbageCollector* gc, std::function<uint64_t()> reclaim_floor) {
+  gc_ = gc;
+  reclaim_floor_ = std::move(reclaim_floor);
 }
 
 SnapshotRef SnapshotService::latest() const {

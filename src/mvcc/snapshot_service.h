@@ -21,10 +21,13 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <set>
 
 #include "btree/tree.h"
 
 namespace minuet::mvcc {
+
+class GarbageCollector;
 
 using btree::BTree;
 using btree::SnapshotRef;
@@ -80,12 +83,14 @@ class SnapshotService {
   // its reads failing at the horizon. Pins nest (multiset semantics) and
   // are accounted per owner: Unpin must name the owner that pinned, and an
   // Unpin after that owner was bulk-released is a harmless no-op (the
-  // straggler-safety RemoveProxy relies on).
+  // straggler-safety RemoveProxy relies on). So is a Pin after it: a
+  // straggler that passed the proxy's handle check before RemoveProxy
+  // must not leave a lease behind that nothing will ever release.
   void Pin(uint64_t sid, LeaseOwner owner = kNoLeaseOwner);
   void Unpin(uint64_t sid, LeaseOwner owner = kNoLeaseOwner);
-  // Drop EVERY lease `owner` holds (a proxy leaving the cluster): the GC
-  // horizon advances past them immediately. Returns the number of leases
-  // released.
+  // Drop EVERY lease `owner` holds (a proxy leaving the cluster) and
+  // refuse its later pins: the GC horizon advances past them immediately.
+  // Returns the number of leases released.
   uint64_t ReleaseOwner(LeaseOwner owner);
   uint64_t pinned_count() const;
   // Leases currently accounted to `owner` (introspection, tests).
@@ -95,6 +100,14 @@ class SnapshotService {
   // Lowest snapshot id still queryable; everything copied at or before it
   // is reclaimable. Never exceeds the lowest pinned lease.
   uint64_t LowestRetained() const;
+
+  // Horizon-driven reclamation: after every snapshot this service creates
+  // (not on a borrow or a stale reuse), free `gc`'s retired copies up to
+  // min(LowestRetained(), reclaim_floor()) — GarbageCollector::
+  // ReclaimRetired, run outside the creation critical section. Attach
+  // before the service is shared.
+  void AttachReclaimer(GarbageCollector* gc,
+                       std::function<uint64_t()> reclaim_floor);
 
   // --- Introspection --------------------------------------------------------
   uint64_t snapshots_created() const {
@@ -116,6 +129,8 @@ class SnapshotService {
   BTree* tree_;
   Options options_;
   std::function<double()> clock_;
+  GarbageCollector* gc_ = nullptr;  // AttachReclaimer
+  std::function<uint64_t()> reclaim_floor_;
 
   std::mutex mutex_;
   std::atomic<uint64_t> num_snapshots_{0};
@@ -134,6 +149,8 @@ class SnapshotService {
   // Per-owner breakdown of pins_, kept in exact correspondence under
   // pins_mu_; ReleaseOwner subtracts an owner's slice wholesale.
   std::map<LeaseOwner, std::map<uint64_t, uint32_t>> owner_pins_;
+  // Owners ReleaseOwner has run for (proxy ids are never reused).
+  std::set<LeaseOwner> released_owners_;
 };
 
 }  // namespace minuet::mvcc

@@ -380,7 +380,7 @@ void Coordinator::ReplicateWrites(const PerNode& pn, uint64_t lsn) {
 void Coordinator::Crash(MemnodeId id) {
   // Exclusive: the wipe lands at a quiescent instant. An in-memory fault
   // injection cannot model a crash racing a half-applied memcpy without
-  // undefined behavior (ByteSpace::Reset would free chunks under an
+  // undefined behavior (RamSlabStore::Reset would free chunks under an
   // in-flight writer), so executions that already charged their messages
   // drain first and the crash takes effect between minitransactions —
   // which is also Sinfonia's recovery-visible granularity.

@@ -8,8 +8,8 @@ namespace minuet::sinfonia {
 Memnode::Memnode(MemnodeId id, Options options)
     : id_(id),
       options_(options),
-      locks_(options.lock_stripes, options.lock_granularity,
-             options.lock_shards) {}
+      locks_(options.lock_stripes, /*granularity=*/64, options.lock_shards,
+             options.slab_base, options.node_size) {}
 
 std::vector<LockTable::Range> Memnode::TouchedRanges(
     const std::vector<MiniTxn::CompareItem>& compares,
@@ -17,14 +17,16 @@ std::vector<LockTable::Range> Memnode::TouchedRanges(
     const std::vector<MiniTxn::WriteItem>& writes) {
   std::vector<LockTable::Range> ranges;
   ranges.reserve(compares.size() + reads.size() + writes.size());
+  // Compares and reads share; writes are exclusive (the lock table takes
+  // a slot wanted both ways exclusive).
   for (const auto& c : compares) {
-    ranges.push_back({c.addr.offset, c.expected.size()});
+    ranges.push_back({c.addr.offset, c.expected.size(), /*shared=*/true});
   }
   for (const auto& r : reads) {
-    ranges.push_back({r.addr.offset, r.len});
+    ranges.push_back({r.addr.offset, r.len, /*shared=*/true});
   }
   for (const auto& w : writes) {
-    ranges.push_back({w.addr.offset, w.data.size()});
+    ranges.push_back({w.addr.offset, w.data.size(), /*shared=*/false});
   }
   return ranges;
 }
@@ -124,7 +126,7 @@ void Memnode::ApplyBackupWrites(MemnodeId primary,
   // coordinator replicates before releasing them.)
   std::lock_guard<std::mutex> g(backup_mu_);
   auto& slot = backups_[primary];
-  if (slot == nullptr) slot = std::make_unique<ByteSpace>();
+  if (slot == nullptr) slot = std::make_unique<store::RamSlabStore>();
   for (const auto& w : writes) {
     slot->Write(w.addr.offset, w.data.data(),
                 static_cast<uint32_t>(w.data.size()));
@@ -182,11 +184,11 @@ void Memnode::ClonePrimaryRegion(const Memnode& src, uint64_t limit) {
 }
 
 void Memnode::SeedBackupFrom(MemnodeId primary, const Memnode& peer) {
-  ByteSpace* image = nullptr;
+  store::RamSlabStore* image = nullptr;
   {
     std::lock_guard<std::mutex> g(backup_mu_);
     auto& slot = backups_[primary];
-    slot = std::make_unique<ByteSpace>();  // replace any stale image
+    slot = std::make_unique<store::RamSlabStore>();  // replace any stale image
     image = slot.get();
   }
   CopySpace(peer.space_, ~0ULL, image);
@@ -202,7 +204,7 @@ bool Memnode::CopyBackupImage(MemnodeId primary, std::string* out) const {
   std::lock_guard<std::mutex> g(backup_mu_);
   auto it = backups_.find(primary);
   if (it == backups_.end()) return false;
-  const ByteSpace& image = *it->second;
+  const store::RamSlabStore& image = *it->second;
   const uint64_t extent = image.Extent();
   out->clear();
   out->reserve(extent);
@@ -225,7 +227,7 @@ void Memnode::RestoreFrom(const Memnode& peer) {
   std::lock_guard<std::mutex> g(peer.backup_mu_);
   auto it = peer.backups_.find(id_);
   if (it == peer.backups_.end()) return;
-  const ByteSpace* image = it->second.get();
+  const store::RamSlabStore* image = it->second.get();
   const uint64_t extent = image->Extent();
   std::string data;
   constexpr uint32_t kBlock = 1 << 16;

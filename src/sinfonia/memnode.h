@@ -21,17 +21,16 @@
 
 namespace minuet::sinfonia {
 
-// The memnode byte space lives behind store::SlabStore now; the historical
-// name stays as an alias for the RAM implementation (tests and the GC use
-// it directly).
-using ByteSpace = store::RamSlabStore;
-
 class Memnode {
  public:
   struct Options {
     uint32_t lock_stripes = 4096;
-    uint32_t lock_granularity = 64;
     uint32_t lock_shards = 8;  // LockTable shard count (clamped there)
+    // The node slab region (alloc::Layout::slab_base / node_size): from
+    // slab_base up, one lock slot per slab; below it, 64-byte slots. 0 =
+    // no slab region, 64-byte slots everywhere.
+    uint64_t slab_base = 0;
+    uint32_t node_size = 0;
     // Lock-wait threshold for blocking minitransactions (paper §4.1: "the
     // waiting time is bounded by a threshold small enough so that blocking
     // minitransactions do not trigger Sinfonia's recovery mechanism").
@@ -150,13 +149,14 @@ class Memnode {
 
   MemnodeId id_;
   Options options_;
-  ByteSpace space_;
+  store::RamSlabStore space_;
   LockTable locks_;
 
   // Backup images of peer primaries (primary-backup replication), plus the
   // highest replicated LSN per primary (the ring durability watermark).
   mutable std::mutex backup_mu_;
-  std::unordered_map<MemnodeId, std::unique_ptr<ByteSpace>> backups_;
+  std::unordered_map<MemnodeId, std::unique_ptr<store::RamSlabStore>>
+      backups_;
   std::unordered_map<MemnodeId, uint64_t> backup_lsns_;
 };
 

@@ -2,8 +2,8 @@
 // byte space a memnode serves minitransactions from. Two implementations:
 //
 //   RamSlabStore  — the growable chunked in-memory space the paper's
-//                   RAM-only memnodes use (extracted from Memnode; the
-//                   sinfonia layer aliases it as ByteSpace).
+//                   RAM-only memnodes use (a memnode's primary space and
+//                   the backup images it hosts).
 //   FileSlabStore — the same contract over a file (pread/pwrite). Used for
 //                   checkpoint images (src/store/checkpointed_store.h) and
 //                   as the file-backed medium a durable memnode could run

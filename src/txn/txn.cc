@@ -410,6 +410,11 @@ Status DynamicTxn::WriteNewStable(const ObjectRef& ref,
   return WriteImpl(ref, payload, /*fresh=*/true, /*stable=*/true);
 }
 
+DynamicTxn::~DynamicTxn() {
+  if (committed_ || outcome_unknown_) return;
+  for (const auto& undo : on_abort_) undo();
+}
+
 Status DynamicTxn::Commit() {
   if (doomed_) return DoomedStatus();
   if (committed_) return Status::InvalidArgument("already committed");
@@ -473,7 +478,12 @@ Status DynamicTxn::Commit() {
   }
 
   MiniResult result;
-  MINUET_RETURN_NOT_OK(coord_->Execute(mtx, &result));
+  if (Status st = coord_->Execute(mtx, &result); !st.ok()) {
+    // A retryable failure (busy locks, lock-wait timeout) applied nothing;
+    // anything else may have applied somewhere.
+    outcome_unknown_ = !st.IsRetryable();
+    return st;
+  }
   if (!result.committed) {
     MarkAborted(AbortReason::kValidationConflict);
     if (net::OpTrace* tr = net::Fabric::ThreadTrace()) tr->validation_aborts++;

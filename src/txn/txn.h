@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -127,6 +128,19 @@ class DynamicTxn {
   // Commit. Returns OK, Aborted (validation failed — retry the whole
   // transaction), Busy (persistent lock contention) or Unavailable.
   Status Commit();
+
+  // Run `undo` when this transaction ends without its writes applied:
+  // never committed, or its commit aborted cleanly. A commit whose outcome
+  // is unknown (a non-retryable coordinator failure, e.g. a crash between
+  // applying and acknowledging) skips it: leaking is safe, reuse is not.
+  // The allocator uses this to take back slabs it handed out of a
+  // proxy-local reservation.
+  void OnAbort(std::function<void()> undo) {
+    on_abort_.push_back(std::move(undo));
+  }
+  ~DynamicTxn();
+  DynamicTxn(const DynamicTxn&) = delete;
+  DynamicTxn& operator=(const DynamicTxn&) = delete;
 
   // Mark the transaction as doomed (traversal safety check failed, stale
   // cached pointer, ...). All further operations and Commit return Aborted
@@ -268,6 +282,8 @@ class DynamicTxn {
   bool doomed_ = false;
   AbortReason abort_reason_ = AbortReason::kNone;
   bool committed_ = false;
+  bool outcome_unknown_ = false;  // commit failed non-retryably
+  std::vector<std::function<void()>> on_abort_;
 };
 
 // Retry loop: run `body` in fresh transactions until it commits or fails

@@ -145,6 +145,43 @@ TEST_F(AllocatorTest, AbortedAllocationRollsBackMetadata) {
   }
 }
 
+TEST_F(AllocatorTest, AbortedBatchedAllocationReturnsItsSlab) {
+  // The batched path pays for slabs outside the caller's transaction: an
+  // aborted caller must hand its slab back, or the slab stays counted as
+  // occupied with no node in it (and a draining memnode never empties).
+  NodeAllocator alloc = MakeAllocator(4);
+  uint64_t offset = 0;
+  {
+    txn::DynamicTxn t(coord_.get(), nullptr);
+    auto slab = alloc.Allocate(t, 1);
+    ASSERT_TRUE(slab.ok());
+    offset = slab->ref.addr.offset;
+    // Never committed.
+  }
+  {
+    // A commit that fails validation gives it back too.
+    txn::DynamicTxn t(coord_.get(), nullptr);
+    ASSERT_TRUE(t.Read(layout_.MetaRef(2)).ok());
+    {
+      txn::DynamicTxn other(coord_.get(), nullptr);
+      auto moved = alloc.Allocate(other, 2);  // replenishes node 2's meta
+      ASSERT_TRUE(moved.ok());
+      ASSERT_TRUE(other.WriteNew(moved->ref, "y").ok());
+      ASSERT_TRUE(other.Commit().ok());
+    }
+    auto slab = alloc.Allocate(t, 1);
+    ASSERT_TRUE(slab.ok());
+    EXPECT_EQ(slab->ref.addr.offset, offset);
+    ASSERT_TRUE(t.WriteNew(slab->ref, "x").ok());
+    EXPECT_TRUE(t.Commit().IsAborted());
+  }
+  // Flushing the reservation returns all four reserved slabs.
+  ASSERT_TRUE(alloc.BeginDrain(1).ok());
+  auto live = alloc.MetaLiveSlabs(1);
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ(*live, 0u);
+}
+
 TEST_F(AllocatorTest, FreeRecyclesThroughFreeList) {
   NodeAllocator alloc = MakeAllocator(0);
   Addr freed{};

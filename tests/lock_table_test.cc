@@ -1,5 +1,6 @@
 // Tests for the memnode lock table: try-lock semantics, re-entrancy,
-// rollback on partial failure, blocking acquisition with timeout.
+// rollback on partial failure, blocking acquisition with timeout, the
+// slab-region slot map and shared/exclusive modes.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -135,6 +136,174 @@ TEST(LockTableTest, ConcurrentDisjointThroughput) {
   }
   for (auto& t : ts) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// --- Slot map: one slot per slab from slab_base up ------------------------
+
+constexpr uint64_t kSlabBase = 1 << 20;
+constexpr uint32_t kSlab = 4096;
+
+LockTable SlabTable() { return LockTable(4096, 64, 8, kSlabBase, kSlab); }
+
+Range Slab(uint64_t i, uint64_t at = 0, uint64_t len = kSlab,
+           bool shared = false) {
+  return Range{kSlabBase + i * kSlab + at, len, shared};
+}
+
+TEST(LockTableSlotMapTest, NodeSizedReadTakesOneSlot) {
+  LockTable lt = SlabTable();
+  ASSERT_TRUE(lt.Lock(1, {Slab(3, 0, kSlab, /*shared=*/true)}).ok());
+  EXPECT_EQ(lt.TotalStats().acquires, 1u);
+  // A compare of the slab's header and a write to its tail share that slot.
+  ASSERT_TRUE(lt.Lock(2, {Slab(5, 0, 8, true), Slab(5, 4000, 96)}).ok());
+  EXPECT_EQ(lt.TotalStats().acquires, 2u);
+  lt.Unlock(1);
+  lt.Unlock(2);
+}
+
+TEST(LockTableSlotMapTest, BlockReadConflictsWithWriteToAnySlabInside) {
+  // The checkpoint's 64 KiB block read covers 16 slabs.
+  LockTable lt = SlabTable();
+  const Range block{kSlabBase, 64 << 10, /*shared=*/true};
+  ASSERT_TRUE(lt.Lock(1, {block}).ok());
+  for (uint64_t i = 0; i < 16; i++) {
+    EXPECT_TRUE(lt.Lock(2, {Slab(i, 100, 8)}).IsBusy()) << i;
+  }
+  EXPECT_TRUE(lt.Lock(2, {Slab(16, 100, 8)}).ok());  // past the block
+  lt.Unlock(1);
+  lt.Unlock(2);
+  // And the other way round: a held write makes the block read Busy.
+  ASSERT_TRUE(lt.Lock(3, {Slab(9, 512, 8)}).ok());
+  EXPECT_TRUE(lt.Lock(4, {block}).IsBusy());
+  lt.Unlock(3);
+  EXPECT_TRUE(lt.Lock(4, {block}).ok());
+  lt.Unlock(4);
+}
+
+TEST(LockTableSlotMapTest, RangeStraddlingSlabBaseLocksBothKinds) {
+  LockTable lt = SlabTable();
+  ASSERT_TRUE(lt.Lock(1, {{kSlabBase - 64, 128}}).ok());
+  // One 64-byte slot below the base, one slab slot above it.
+  EXPECT_EQ(lt.TotalStats().acquires, 2u);
+  EXPECT_TRUE(lt.Lock(2, {{kSlabBase - 8, 8}}).IsBusy());
+  EXPECT_TRUE(lt.Lock(2, {Slab(0, 2048, 8)}).IsBusy());
+  EXPECT_FALSE(lt.IsLocked({kSlabBase - 128, 64}));
+  lt.Unlock(1);
+  EXPECT_FALSE(lt.IsLocked({kSlabBase - 64, 128}));
+}
+
+TEST(LockTableSlotMapTest, ReplicatedObjectsStillLockIndependently) {
+  // The per-tree replicated objects (tip id, tip root, next sid, lowest
+  // sid) sit 64 bytes apart below the slab region: each keeps its own slot.
+  LockTable lt = SlabTable();
+  const uint64_t tree_base = 4096;
+  for (TxId tx = 1; tx <= 4; tx++) {
+    EXPECT_TRUE(lt.Lock(tx, {{tree_base + (tx - 1) * 64, 12}}).ok()) << tx;
+  }
+  for (TxId tx = 1; tx <= 4; tx++) lt.Unlock(tx);
+}
+
+// --- Shared/exclusive ----------------------------------------------------
+
+TEST(LockTableSharedTest, SharedHoldsAreGrantedTogether) {
+  LockTable lt = SlabTable();
+  ASSERT_TRUE(lt.Lock(1, {Slab(0, 0, kSlab, true)}).ok());
+  ASSERT_TRUE(lt.Lock(2, {Slab(0, 0, 8, true)}).ok());
+  EXPECT_TRUE(lt.IsLocked(Slab(0)));
+  lt.Unlock(1);
+  EXPECT_TRUE(lt.IsLocked(Slab(0)));  // tx 2 still reads
+  lt.Unlock(2);
+  EXPECT_FALSE(lt.IsLocked(Slab(0)));
+}
+
+TEST(LockTableSharedTest, SharedAndExclusiveConflictInBothOrders) {
+  LockTable lt = SlabTable();
+  ASSERT_TRUE(lt.Lock(1, {Slab(0, 0, kSlab, true)}).ok());
+  EXPECT_TRUE(lt.Lock(2, {Slab(0)}).IsBusy());
+  lt.Unlock(1);
+  ASSERT_TRUE(lt.Lock(2, {Slab(0)}).ok());
+  EXPECT_TRUE(lt.Lock(1, {Slab(0, 0, kSlab, true)}).IsBusy());
+  lt.Unlock(2);
+  EXPECT_TRUE(lt.Lock(1, {Slab(0, 0, kSlab, true)}).ok());
+  lt.Unlock(1);
+}
+
+TEST(LockTableSharedTest, ReadAndWriteOfOneSlotInOneCallIsExclusive) {
+  LockTable lt = SlabTable();
+  ASSERT_TRUE(lt.Lock(1, {Slab(0, 0, 8, true), Slab(0, 8, 64)}).ok());
+  EXPECT_TRUE(lt.Lock(2, {Slab(0, 0, 8, true)}).IsBusy());
+  lt.Unlock(1);
+}
+
+TEST(LockTableSharedTest, SoleReaderUpgradesOthersBlockIt) {
+  LockTable lt = SlabTable();
+  ASSERT_TRUE(lt.Lock(1, {Slab(0, 0, kSlab, true)}).ok());
+  ASSERT_TRUE(lt.Lock(1, {Slab(0, 0, kSlab, true)}).ok());  // re-entry
+  ASSERT_TRUE(lt.Lock(1, {Slab(0)}).ok());                  // upgrade
+  EXPECT_TRUE(lt.Lock(2, {Slab(0, 0, 8, true)}).IsBusy());
+  lt.Unlock(1);
+  ASSERT_TRUE(lt.Lock(1, {Slab(1, 0, kSlab, true)}).ok());
+  ASSERT_TRUE(lt.Lock(2, {Slab(1, 0, kSlab, true)}).ok());
+  EXPECT_TRUE(lt.Lock(1, {Slab(1)}).IsBusy());  // not the only reader
+  lt.Unlock(2);
+  // The failed upgrade left tx 1's shared hold in place.
+  EXPECT_TRUE(lt.Lock(3, {Slab(1)}).IsBusy());
+  EXPECT_TRUE(lt.Lock(3, {Slab(1, 0, kSlab, true)}).ok());
+  lt.Unlock(1);
+  lt.Unlock(3);
+  EXPECT_FALSE(lt.IsLocked(Slab(1)));
+}
+
+TEST(LockTableSharedTest, PartialFailureReleasesSharedHolds) {
+  LockTable lt = SlabTable();
+  ASSERT_TRUE(lt.Lock(1, {Slab(7)}).ok());
+  // Tx 2 reads a free slab AND the written one: the whole call fails and
+  // its shared hold on the free slab goes with it.
+  ASSERT_TRUE(
+      lt.Lock(2, {Slab(2, 0, kSlab, true), Slab(7, 0, kSlab, true)}).IsBusy());
+  EXPECT_FALSE(lt.IsLocked(Slab(2)));
+  EXPECT_TRUE(lt.Lock(3, {Slab(2)}).ok());
+  lt.Unlock(1);
+  lt.Unlock(3);
+}
+
+TEST(LockTableSharedTest, BlockingWriterWakesWhenLastReaderLeaves) {
+  LockTable lt = SlabTable();
+  ASSERT_TRUE(lt.Lock(1, {Slab(0, 0, kSlab, true)}).ok());
+  ASSERT_TRUE(lt.Lock(2, {Slab(0, 0, kSlab, true)}).ok());
+  std::atomic<bool> granted{false};
+  Status st = Status::Busy("not run");
+  std::thread writer([&] {
+    st = lt.Lock(3, {Slab(0)}, microseconds(2000000));
+    granted.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  lt.Unlock(1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(granted.load());  // tx 2 still reads
+  // A blocked writer holds off new readers.
+  EXPECT_TRUE(lt.Lock(4, {Slab(0, 0, 8, true)}).IsBusy());
+  lt.Unlock(2);
+  writer.join();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  lt.Unlock(3);
+  EXPECT_TRUE(lt.Lock(4, {Slab(0, 0, 8, true)}).ok());
+  lt.Unlock(4);
+}
+
+TEST(LockTableSharedTest, TimedOutWriterLetsBlockedReadersIn) {
+  LockTable lt = SlabTable();
+  ASSERT_TRUE(lt.Lock(1, {Slab(0, 0, kSlab, true)}).ok());
+  std::thread writer([&] {
+    EXPECT_TRUE(lt.Lock(2, {Slab(0)}, microseconds(20000)).IsTimedOut());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  // This reader waits behind the writer, then gets in once it gives up.
+  EXPECT_TRUE(lt.Lock(3, {Slab(0, 0, 8, true)}, microseconds(2000000)).ok());
+  writer.join();
+  lt.Unlock(1);
+  lt.Unlock(3);
+  EXPECT_FALSE(lt.IsLocked(Slab(0)));
 }
 
 }  // namespace

@@ -7,15 +7,15 @@
 namespace minuet::sinfonia {
 namespace {
 
-TEST(ByteSpaceTest, UnwrittenReadsAsZero) {
-  ByteSpace s;
+TEST(RamSlabStoreTest, UnwrittenReadsAsZero) {
+  store::RamSlabStore s;
   std::string out;
   s.Read(12345, 16, &out);
   EXPECT_EQ(out, std::string(16, '\0'));
 }
 
-TEST(ByteSpaceTest, WriteThenRead) {
-  ByteSpace s;
+TEST(RamSlabStoreTest, WriteThenRead) {
+  store::RamSlabStore s;
   s.Write(100, "hello", 5);
   std::string out;
   s.Read(100, 5, &out);
@@ -23,9 +23,9 @@ TEST(ByteSpaceTest, WriteThenRead) {
   EXPECT_EQ(s.Extent(), 105u);
 }
 
-TEST(ByteSpaceTest, CrossChunkWrite) {
-  ByteSpace s;
-  const uint64_t off = ByteSpace::kChunkBytes - 3;
+TEST(RamSlabStoreTest, CrossChunkWrite) {
+  store::RamSlabStore s;
+  const uint64_t off = store::RamSlabStore::kChunkBytes - 3;
   s.Write(off, "abcdef", 6);
   std::string out;
   s.Read(off, 6, &out);
@@ -144,6 +144,56 @@ TEST_F(MemnodeTest, AbortReleasesLocks) {
   std::string out;
   node_.RawRead(64, 1, &out);
   EXPECT_EQ(out, "y");  // the aborted write never applied
+}
+
+// A memnode shaped like a cluster's: one lock slot per 1 KiB slab from
+// kSlabBase up.
+constexpr uint64_t kSlabBase = 1 << 20;
+constexpr uint32_t kNodeSize = 1024;
+
+Memnode::Options SlabOptions() {
+  Memnode::Options o;
+  o.slab_base = kSlabBase;
+  o.node_size = kNodeSize;
+  return o;
+}
+
+TEST(MemnodeLockSlotTest, NodeReadTakesOneLockSlot) {
+  Memnode node(0, SlabOptions());
+  const Addr slab{0, kSlabBase + 5 * kNodeSize};
+  MiniResult r;
+  ASSERT_TRUE(node.ExecuteLocal(1, {{slab, std::string(8, '\0')}},
+                                {{slab, kNodeSize}}, {}, false, &r).ok());
+  ASSERT_TRUE(r.committed);
+  EXPECT_EQ(node.lock_table().TotalStats().acquires, 1u);
+}
+
+TEST(MemnodeLockSlotTest, ReadOnlyMinitxnsShareAnObjectWritersWait) {
+  Memnode node(0, SlabOptions());
+  const Addr slab{0, kSlabBase};
+  node.RawWrite(slab.offset, "v1");
+  bool vote = false;
+  std::vector<std::string> reads;
+  std::vector<uint32_t> failed;
+  // Two read-only minitransactions validate and read the same object; both
+  // hold their (shared) locks across the prepare/commit boundary.
+  ASSERT_TRUE(node.Prepare(1, {{slab, "v1"}}, {{slab, kNodeSize}}, {}, false,
+                           &vote, &reads, &failed).ok());
+  EXPECT_TRUE(vote);
+  ASSERT_TRUE(node.Prepare(2, {}, {{slab, 2}}, {}, false, &vote, &reads,
+                           &failed).ok());
+  EXPECT_TRUE(vote);
+  EXPECT_EQ(reads.back(), "v1");
+
+  MiniResult r;
+  EXPECT_TRUE(node.ExecuteLocal(3, {}, {}, {{slab, "v2"}}, false, &r)
+                  .IsBusy());
+  node.Commit(1, {});
+  EXPECT_TRUE(node.ExecuteLocal(3, {}, {}, {{slab, "v2"}}, false, &r)
+                  .IsBusy());  // tx 2 still reads
+  node.Commit(2, {});
+  ASSERT_TRUE(node.ExecuteLocal(3, {}, {}, {{slab, "v2"}}, false, &r).ok());
+  EXPECT_TRUE(r.committed);
 }
 
 TEST(MemnodeBackupTest, BackupImageAndRestore) {

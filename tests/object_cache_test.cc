@@ -72,7 +72,7 @@ TEST(ObjectCacheTest, ClockKeepsHotEntries) {
   ObjectCache::Entry e;
   for (int round = 0; round < 16; round++) {
     ASSERT_TRUE(cache.Lookup(Addr{0, 0}, &e));
-    cache.Insert(Addr{1, 1000 + round}, 1, "cold");
+    cache.Insert(Addr{1, static_cast<uint64_t>(1000 + round)}, 1, "cold");
   }
   EXPECT_TRUE(cache.Lookup(Addr{0, 0}, &e));
 }

@@ -146,7 +146,9 @@ TEST_P(PropertyTest, ScanWindowsAreConsistentSlices) {
     // Sorted, within range, contiguous w.r.t. the key population.
     for (size_t i = 0; i < rows.size(); i++) {
       EXPECT_GE(rows[i].first, EncodeUserKey(start));
-      if (i > 0) EXPECT_LT(rows[i - 1].first, rows[i].first);
+      if (i > 0) {
+        EXPECT_LT(rows[i - 1].first, rows[i].first);
+      }
       const uint64_t id = DecodeUserKey(rows[i].first);
       EXPECT_EQ(id % 3, 0u);
       EXPECT_EQ(DecodeValue(rows[i].second), id / 3);

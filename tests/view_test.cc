@@ -824,7 +824,9 @@ TEST(ViewTest, BatchedPathsWorkWithValidatedTraversals) {
       std::string value;
       Status st = tip.Get(keys[i], &value);
       ASSERT_EQ(st.ok(), values[i].has_value()) << keys[i];
-      if (st.ok()) EXPECT_EQ(value, *values[i]);
+      if (st.ok()) {
+        EXPECT_EQ(value, *values[i]);
+      }
     }
   }
 
