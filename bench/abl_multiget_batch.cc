@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
             btree::BTree* t = proxy.tree(*tree);
             for (const std::string& key : keys) {
               std::string value;
-              Status st = t->GetInTxn(txn, key, &value);
+              Status st = t->GetInTxn(txn, btree::Target::Tip(), key, &value);
               if (!st.ok() && !st.IsNotFound()) return st;
             }
             return Status::OK();

@@ -173,49 +173,71 @@ int main(int argc, char** argv) {
   });
 
   // -- Part C: registry overhead on the warm-get path -----------------------
-  // Identical warm-get loops on two fresh clusters: registry bound
-  // (default) vs unbound (metrics=false). The per-op counters increment in
-  // BOTH configs — there is no metrics-off hot-path branch — so the delta
-  // measures what binding adds: nothing on the data path, only registry
-  // links read at DumpStats time. Min over passes damps scheduler noise.
-  auto warm_get_ns = [&](bool metrics_on) -> double {
+  // Identical warm-get loops on two clusters: registry bound (default) vs
+  // unbound (metrics=false). The per-op counters increment in BOTH configs
+  // — there is no metrics-off hot-path branch — so the delta measures what
+  // binding adds: nothing on the data path, only registry links read at
+  // DumpStatsJson time. Whichever cluster is timed first in a process runs
+  // slower, so both are built and warmed before any timing, the timed
+  // repetitions interleave with alternating order, and the gate compares
+  // the medians.
+  struct WarmGet {
+    std::unique_ptr<Cluster> cluster;
+    TreeHandle tree;
+    std::vector<Rng> rngs;
+    std::vector<double> ns;  // one mean per timed repetition
+  };
+  auto make_warm_get = [&](bool metrics_on) {
     ClusterOptions copts;
     copts.machines = kMachines;
     copts.metrics = metrics_on;
-    Cluster c(copts);
-    auto t = c.CreateTree();
+    WarmGet w;
+    w.cluster = std::make_unique<Cluster>(copts);
+    auto t = w.cluster->CreateTree();
     if (!t.ok()) std::abort();
-    Preload(c, *t, kPreload, /*threads=*/2);
+    w.tree = *t;
+    Preload(*w.cluster, w.tree, kPreload, /*threads=*/2);
+    for (uint32_t th = 0; th < 2; th++) w.rngs.emplace_back(th + 77);
+    return w;
+  };
+  auto time_warm_get = [&](WarmGet& w) -> double {
     RunOptions ropts;
     ropts.n_nodes = kMachines;
     ropts.threads = 2;
     ropts.ops_per_thread = kOps;
-    std::vector<Rng> rngs;
-    for (uint32_t th = 0; th < ropts.threads; th++) rngs.emplace_back(th + 77);
-    double best = 0;
-    for (int pass = 0; pass < 4; pass++) {  // pass 0 warms the caches
-      auto out = RunOps(model, ropts, [&](const OpContext& ctx) -> Status {
-        std::string value;
-        Status st =
-            c.proxy(ctx.thread % kMachines)
-                .Get(*t, EncodeUserKey(rngs[ctx.thread].Uniform(kPreload)),
-                     &value);
-        return st.IsNotFound() ? Status::OK() : st;
-      });
-      if (pass > 0) {
-        best = best == 0 ? out.agg.mean_wall_ns()
-                         : std::min(best, out.agg.mean_wall_ns());
-      }
-    }
-    return best;
+    auto out = RunOps(model, ropts, [&](const OpContext& ctx) -> Status {
+      std::string value;
+      Status st =
+          w.cluster->proxy(ctx.thread % kMachines)
+              .Get(w.tree, EncodeUserKey(w.rngs[ctx.thread].Uniform(kPreload)),
+                   &value);
+      return st.IsNotFound() ? Status::OK() : st;
+    });
+    return out.agg.mean_wall_ns();
   };
-  const double reg_on_ns = warm_get_ns(true);
-  const double reg_off_ns = warm_get_ns(false);
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+  };
+  WarmGet bound = make_warm_get(true);
+  WarmGet unbound = make_warm_get(false);
+  time_warm_get(bound);  // warm both proxy caches before any timing
+  time_warm_get(unbound);
+  const int kRegistryReps = 10;
+  for (int rep = 0; rep < kRegistryReps; rep++) {
+    WarmGet& first = rep % 2 == 0 ? bound : unbound;
+    WarmGet& second = rep % 2 == 0 ? unbound : bound;
+    first.ns.push_back(time_warm_get(first));
+    second.ns.push_back(time_warm_get(second));
+  }
+  const double reg_on_ns = median(bound.ns);
+  const double reg_off_ns = median(unbound.ns);
   const double reg_overhead =
       reg_off_ns > 0 ? (reg_on_ns - reg_off_ns) / reg_off_ns * 100.0 : 0;
   std::printf("registry    warm_get_bound=%.0f ns/op  warm_get_unbound=%.0f "
-              "ns/op  overhead=%+.1f%%\n",
-              reg_on_ns, reg_off_ns, reg_overhead);
+              "ns/op  overhead=%+.1f%%  (medians of %d interleaved reps)\n",
+              reg_on_ns, reg_off_ns, reg_overhead, kRegistryReps);
 
   // -- Part D: traced cold 16-key MultiGet ----------------------------------
   // Arm a TraceContext and run one cold MultiGet: the span timeline below

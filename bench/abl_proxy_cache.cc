@@ -42,7 +42,8 @@ int main() {
         st = cluster->proxy(ctx.thread % kMachines)
                  .Get(*tree, EncodeUserKey(rng.Uniform(kPreload)), &value);
       } else {
-        st = uncached_tree->Get(EncodeUserKey(rng.Uniform(kPreload)),
+        st = uncached_tree->Get(btree::Target::Tip(),
+                                EncodeUserKey(rng.Uniform(kPreload)),
                                 &value);
       }
       return st.IsNotFound() ? Status::OK() : st;

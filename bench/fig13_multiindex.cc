@@ -49,14 +49,16 @@ Row RunMinuet(uint32_t machines) {
       return proxy.Transaction([&](txn::DynamicTxn& txn) -> Status {
         if (kind == Kind::kRead2) {
           std::string va, vb;
-          Status st = proxy.tree(*t1)->GetInTxn(txn, ka, &va);
+          Status st = proxy.tree(*t1)->GetInTxn(txn, btree::Target::Tip(), ka,
+                                                &va);
           if (!st.ok() && !st.IsNotFound()) return st;
-          st = proxy.tree(*t2)->GetInTxn(txn, kb, &vb);
+          st = proxy.tree(*t2)->GetInTxn(txn, btree::Target::Tip(), kb, &vb);
           return st.IsNotFound() ? Status::OK() : st;
         }
         const std::string v = EncodeValue(rng.Next());
-        MINUET_RETURN_NOT_OK(proxy.tree(*t1)->PutInTxn(txn, ka, v));
-        return proxy.tree(*t2)->PutInTxn(txn, kb, v);
+        MINUET_RETURN_NOT_OK(
+            proxy.tree(*t1)->PutInTxn(txn, btree::Target::Tip(), ka, v));
+        return proxy.tree(*t2)->PutInTxn(txn, btree::Target::Tip(), kb, v);
       });
     });
     return out.agg;

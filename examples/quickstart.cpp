@@ -62,19 +62,21 @@ int main() {
   }
 
   // --- A multi-key transaction (atomic across keys and proxies) -----------
+  // Every tree operation names its target: here the live tip (a branch
+  // or a frozen snapshot would be btree::Target::Branch / ::Snapshot).
+  btree::BTree* accounts = proxy.tree(*tree);
+  const btree::Target live = btree::Target::Tip();
   st = proxy.Transaction([&](txn::DynamicTxn& txn) -> Status {
     std::string balance_a, balance_b;
     MINUET_RETURN_NOT_OK(
-        proxy.tree(*tree)->GetInTxn(txn, EncodeUserKey(1), &balance_a));
+        accounts->GetInTxn(txn, live, EncodeUserKey(1), &balance_a));
     MINUET_RETURN_NOT_OK(
-        proxy.tree(*tree)->GetInTxn(txn, EncodeUserKey(2), &balance_b));
+        accounts->GetInTxn(txn, live, EncodeUserKey(2), &balance_b));
     const uint64_t a = DecodeValue(balance_a), b = DecodeValue(balance_b);
     // Move one unit from account 1 to account 2, atomically.
     MINUET_RETURN_NOT_OK(
-        proxy.tree(*tree)->PutInTxn(txn, EncodeUserKey(1),
-                                    EncodeValue(a - 1)));
-    return proxy.tree(*tree)->PutInTxn(txn, EncodeUserKey(2),
-                                       EncodeValue(b + 1));
+        accounts->PutInTxn(txn, live, EncodeUserKey(1), EncodeValue(a - 1)));
+    return accounts->PutInTxn(txn, live, EncodeUserKey(2), EncodeValue(b + 1));
   });
   std::printf("transfer committed: %s\n", st.ToString().c_str());
 

@@ -260,19 +260,8 @@ Status BTree::ResolveLeafGroups(DynamicTxn& txn, uint64_t sid, Addr root,
                        &visited);
 }
 
-Status BTree::ApplyWritesInTxn(DynamicTxn& txn,
+Status BTree::ApplyWritesInTxn(DynamicTxn& txn, const Target& target,
                                const std::vector<WriteOp>& ops) {
-  return ApplyWritesToTip(txn, ops, /*branch=*/false, /*branch_sid=*/0);
-}
-
-Status BTree::BranchApplyWritesInTxn(DynamicTxn& txn, uint64_t branch_sid,
-                                     const std::vector<WriteOp>& ops) {
-  return ApplyWritesToTip(txn, ops, /*branch=*/true, branch_sid);
-}
-
-Status BTree::ApplyWritesToTip(DynamicTxn& txn,
-                               const std::vector<WriteOp>& ops, bool branch,
-                               uint64_t branch_sid) {
   if (ops.empty()) return Status::OK();
   std::vector<std::string> keys;
   keys.reserve(ops.size());
@@ -280,14 +269,10 @@ Status BTree::ApplyWritesToTip(DynamicTxn& txn,
     MINUET_RETURN_NOT_OK(CheckKeyValue(op.key, op.value));
     keys.push_back(op.key);
   }
-  // The branch flavor resolves (and validates) the catalog entry instead
-  // of the linear tip; writability is enforced there, inside this very
+  // A branch target resolves (and validates) its catalog entry instead of
+  // the linear tip; writability is enforced there, inside this very
   // transaction.
-  auto read_tip = [&](DynamicTxn& t) {
-    return branch ? ReadBranchTipInTxn(t, branch_sid, /*for_write=*/true)
-                  : ReadTipInTxn(t);
-  };
-  auto tip0 = read_tip(txn);
+  auto tip0 = ResolveInTxn(txn, target, /*for_write=*/true);
   if (!tip0.ok()) return tip0.status();
 
   // Cold-path collapse + per-leaf dedupe: one level-synchronized descent
@@ -325,7 +310,8 @@ Status BTree::ApplyWritesToTip(DynamicTxn& txn,
     std::sort(g.key_idx.begin(), g.key_idx.end());
     size_t next = 0;
     while (next < g.key_idx.size()) {
-      auto tip = read_tip(txn);  // an earlier flush may have moved it
+      // An earlier flush may have moved the root.
+      auto tip = ResolveInTxn(txn, target, /*for_write=*/true);
       if (!tip.ok()) return tip.status();
       auto path = Traverse(txn, tip->sid, tip->root, ops[g.key_idx[next]].key,
                            TraverseMode::kUpToDate);
@@ -374,7 +360,7 @@ Result<std::vector<BTree::ScanPartition>> BTree::PartitionRange(
     uint32_t max_levels) {
   if (max_levels == 0) max_levels = 1;
   std::vector<ScanPartition> parts;
-  Status st = RunSnapshotOp(snap.sid, [&](DynamicTxn& txn) -> Status {
+  Status st = Retry(Target::Snapshot(snap), [&](DynamicTxn& txn) -> Status {
     parts.clear();
     std::vector<Addr> visited;
 
@@ -455,7 +441,7 @@ Status BTree::PrewarmSnapshotPaths(const SnapshotRef& snap,
 
 Result<uint32_t> BTree::Depth() {
   uint32_t depth = 0;
-  Status st = RunOp([&](DynamicTxn& txn) -> Status {
+  Status st = Retry(Target::Tip(), [&](DynamicTxn& txn) -> Status {
     auto tip = ReadTipInTxn(txn);
     if (!tip.ok()) return tip.status();
     auto node = FetchView(txn, tip->root, /*as_leaf=*/false,

@@ -25,7 +25,7 @@
 namespace minuet::btree {
 
 Status BTree::CollectTipPlacement(std::vector<NodePlacement>* out) {
-  return RunOp([&](DynamicTxn& txn) -> Status {
+  return Retry(Target::Tip(), [&](DynamicTxn& txn) -> Status {
     out->clear();
     auto tip = ReadTipInTxn(txn);
     if (!tip.ok()) return tip.status();
@@ -63,7 +63,7 @@ Status BTree::CollectTipPlacement(std::vector<NodePlacement>* out) {
     // service tree) has since swung in place — the §4.2 settle checks all
     // pass on such a node, so the walk would report pre-migration homes
     // forever. Joining the walk into the read set makes the commit inside
-    // RunOp validate every internal node; a stale parent aborts, the retry
+    // Retry validate every internal node; a stale parent aborts, the retry
     // refetches fresh state, and the listing converges to the truth.
     return VisitFrontier(txn, tip->sid, TraverseMode::kUpToDate,
                          /*validated_path=*/true,
@@ -173,7 +173,7 @@ Status BTree::MigrateNodeInTxn(DynamicTxn& txn, const NodePlacement& expected,
 
 Status BTree::MigrateNode(const NodePlacement& expected,
                           sinfonia::MemnodeId dest, bool* migrated) {
-  Status st = RunOp([&](DynamicTxn& txn) -> Status {
+  Status st = Retry(Target::Tip(), [&](DynamicTxn& txn) -> Status {
     return MigrateNodeInTxn(txn, expected, dest, migrated);
   });
   // Count COMMITTED relocations only (the in-txn flag alone may belong to

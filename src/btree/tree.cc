@@ -177,16 +177,6 @@ void BTree::InvalidateTipCache() {
   cache_->Invalidate(layout().TipRootRef(tree_slot_).addr);
 }
 
-Result<Addr> BTree::BranchRootInTxn(DynamicTxn& txn, uint64_t sid) {
-  auto raw = txn.ReadCachedView(layout().CatalogRef(tree_slot_, sid));
-  if (!raw.ok()) return raw.status();
-  const CatalogEntry entry = DecodeCatalogEntry(raw->data);
-  if (entry.root == sinfonia::kNullAddr) {
-    return Status::NotFound("no such snapshot");
-  }
-  return entry.root;
-}
-
 Status BTree::PublishRoot(DynamicTxn& txn, const TipContext& tip,
                           Addr new_root) {
   if (tip.source == TipContext::Source::kLinearTip) {
@@ -640,13 +630,27 @@ Status LeafLookup(const NodeView& leaf, const std::string& key,
 }
 }  // namespace
 
-Status BTree::GetInTxn(DynamicTxn& txn, const std::string& key,
-                       std::string* value) {
+Result<TipContext> BTree::ResolveInTxn(DynamicTxn& txn, const Target& target,
+                                       bool for_write) {
+  switch (target.kind) {
+    case Target::Kind::kTip:
+      return ReadTipInTxn(txn);
+    case Target::Kind::kBranch:
+      return ReadBranchTipInTxn(txn, target.snap.sid, for_write);
+    case Target::Kind::kSnapshot:
+      break;
+  }
+  if (for_write) return Status::ReadOnly("snapshot is read-only");
+  return TipContext{target.snap.sid, target.snap.root,
+                    TipContext::Source::kSnapshot};
+}
+
+Status BTree::GetInTxn(DynamicTxn& txn, const Target& target,
+                       const std::string& key, std::string* value) {
   MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
-  auto tip = ReadTipInTxn(txn);
-  if (!tip.ok()) return tip.status();
-  auto path = Traverse(txn, tip->sid, tip->root, key,
-                       TraverseMode::kUpToDate);
+  auto at = ResolveInTxn(txn, target, /*for_write=*/false);
+  if (!at.ok()) return at.status();
+  auto path = Traverse(txn, at->sid, at->root, key, ModeFor(target));
   if (!path.ok()) return path.status();
   return LeafLookup(path->back().view, key, value);
 }
@@ -743,22 +747,24 @@ Status BTree::MultiGetAt(DynamicTxn& txn, uint64_t sid, Addr root,
   return Status::OK();
 }
 
-Status BTree::MultiGetInTxn(DynamicTxn& txn,
+Status BTree::MultiGetInTxn(DynamicTxn& txn, const Target& target,
                             const std::vector<std::string>& keys,
                             std::vector<std::optional<std::string>>* values) {
   for (const std::string& key : keys) {
     MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
   }
-  auto tip = ReadTipInTxn(txn);
-  if (!tip.ok()) return tip.status();
-  return MultiGetAt(txn, tip->sid, tip->root, TraverseMode::kUpToDate, keys,
-                    values);
+  auto at = ResolveInTxn(txn, target, /*for_write=*/false);
+  if (!at.ok()) return at.status();
+  return MultiGetAt(txn, at->sid, at->root, ModeFor(target), keys, values);
 }
 
-Status BTree::UpsertLeafInTxn(DynamicTxn& txn, const TipContext& tip,
-                              const std::string& key,
-                              const std::string& value, bool strict) {
-  auto path = Traverse(txn, tip.sid, tip.root, key, TraverseMode::kUpToDate);
+Status BTree::UpsertInTxn(DynamicTxn& txn, const Target& target,
+                          const std::string& key, const std::string& value,
+                          bool strict) {
+  MINUET_RETURN_NOT_OK(CheckKeyValue(key, value));
+  auto tip = ResolveInTxn(txn, target, /*for_write=*/true);
+  if (!tip.ok()) return tip.status();
+  auto path = Traverse(txn, tip->sid, tip->root, key, TraverseMode::kUpToDate);
   if (!path.ok()) return path.status();
   const NodeView& leaf_view = path->back().view;
   if (strict && leaf_view.FindKey(key) != leaf_view.num_entries()) {
@@ -767,31 +773,20 @@ Status BTree::UpsertLeafInTxn(DynamicTxn& txn, const TipContext& tip,
   auto leaf = leaf_view.ToNode();  // mutation boundary: materialize
   if (!leaf.ok()) return leaf.status();
   leaf->Upsert(key, value, sinfonia::kNullAddr);
-  return ApplyLeafMutation(txn, tip, *path, std::move(*leaf));
+  return ApplyLeafMutation(txn, *tip, *path, std::move(*leaf));
 }
 
-Status BTree::PutInTxn(DynamicTxn& txn, const std::string& key,
-                       const std::string& value) {
-  MINUET_RETURN_NOT_OK(CheckKeyValue(key, value));
-  auto tip = ReadTipInTxn(txn);
-  if (!tip.ok()) return tip.status();
-  return UpsertLeafInTxn(txn, *tip, key, value, /*strict=*/false);
+Status BTree::PutInTxn(DynamicTxn& txn, const Target& target,
+                       const std::string& key, const std::string& value) {
+  return UpsertInTxn(txn, target, key, value, /*strict=*/false);
 }
 
-Status BTree::InsertInTxn(DynamicTxn& txn, const std::string& key,
-                          const std::string& value) {
-  MINUET_RETURN_NOT_OK(CheckKeyValue(key, value));
-  auto tip = ReadTipInTxn(txn);
-  if (!tip.ok()) return tip.status();
-  return UpsertLeafInTxn(txn, *tip, key, value, /*strict=*/true);
-}
-
-Status BTree::RemoveInTxn(DynamicTxn& txn, const std::string& key) {
+Status BTree::RemoveInTxn(DynamicTxn& txn, const Target& target,
+                          const std::string& key) {
   MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
-  auto tip = ReadTipInTxn(txn);
+  auto tip = ResolveInTxn(txn, target, /*for_write=*/true);
   if (!tip.ok()) return tip.status();
-  auto path = Traverse(txn, tip->sid, tip->root, key,
-                       TraverseMode::kUpToDate);
+  auto path = Traverse(txn, tip->sid, tip->root, key, TraverseMode::kUpToDate);
   if (!path.ok()) return path.status();
   if (path->back().view.FindKey(key) == path->back().view.num_entries()) {
     return Status::NotFound("key absent");
@@ -804,93 +799,81 @@ Status BTree::RemoveInTxn(DynamicTxn& txn, const std::string& key) {
   return ApplyLeafMutation(txn, *tip, *path, std::move(*leaf));
 }
 
-Status BTree::Get(const std::string& key, std::string* value) {
-  return RunOp([&](DynamicTxn& txn) { return GetInTxn(txn, key, value); });
-}
-
-Status BTree::Put(const std::string& key, const std::string& value) {
-  return RunOp([&](DynamicTxn& txn) { return PutInTxn(txn, key, value); });
-}
-
-Status BTree::Insert(const std::string& key, const std::string& value) {
-  return RunOp([&](DynamicTxn& txn) { return InsertInTxn(txn, key, value); });
-}
-
-Status BTree::Remove(const std::string& key) {
-  return RunOp([&](DynamicTxn& txn) { return RemoveInTxn(txn, key); });
-}
-
-Status BTree::BranchGet(uint64_t branch_sid, const std::string& key,
-                        std::string* value) {
-  MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
-  return RunOp([&](DynamicTxn& txn) -> Status {
-    auto tip = ReadBranchTipInTxn(txn, branch_sid, /*for_write=*/false);
-    if (!tip.ok()) return tip.status();
-    auto path = Traverse(txn, tip->sid, tip->root, key,
-                         TraverseMode::kUpToDate);
-    if (!path.ok()) return path.status();
-    return LeafLookup(path->back().view, key, value);
+Status BTree::Get(const Target& target, const std::string& key,
+                  std::string* value) {
+  return Retry(target, [&](DynamicTxn& txn) {
+    return GetInTxn(txn, target, key, value);
   });
 }
 
-Status BTree::BranchPut(uint64_t branch_sid, const std::string& key,
-                        const std::string& value) {
-  MINUET_RETURN_NOT_OK(CheckKeyValue(key, value));
-  return RunOp([&](DynamicTxn& txn) -> Status {
-    auto tip = ReadBranchTipInTxn(txn, branch_sid, /*for_write=*/true);
-    if (!tip.ok()) return tip.status();
-    return UpsertLeafInTxn(txn, *tip, key, value, /*strict=*/false);
+Status BTree::MultiGet(const Target& target,
+                       const std::vector<std::string>& keys,
+                       std::vector<std::optional<std::string>>* values) {
+  // MultiGetAt resets `values` inside each attempt, so a retry never
+  // inherits answers its aborted predecessor read.
+  return Retry(target, [&](DynamicTxn& txn) {
+    return MultiGetInTxn(txn, target, keys, values);
   });
 }
 
-Status BTree::BranchInsert(uint64_t branch_sid, const std::string& key,
-                           const std::string& value) {
-  MINUET_RETURN_NOT_OK(CheckKeyValue(key, value));
-  return RunOp([&](DynamicTxn& txn) -> Status {
-    auto tip = ReadBranchTipInTxn(txn, branch_sid, /*for_write=*/true);
-    if (!tip.ok()) return tip.status();
-    return UpsertLeafInTxn(txn, *tip, key, value, /*strict=*/true);
+Status BTree::Put(const Target& target, const std::string& key,
+                  const std::string& value) {
+  return Retry(target, [&](DynamicTxn& txn) {
+    return PutInTxn(txn, target, key, value);
   });
 }
 
-Status BTree::BranchPutInTxn(DynamicTxn& txn, uint64_t branch_sid,
-                             const std::string& key,
-                             const std::string& value) {
-  WriteOp op;
-  op.kind = WriteOp::Kind::kPut;
-  op.key = key;
-  op.value = value;
-  return BranchApplyWritesInTxn(txn, branch_sid, {op});
+Status BTree::Insert(const Target& target, const std::string& key,
+                     const std::string& value) {
+  // An AlreadyExists answer comes from possibly cached reads: Retry
+  // commits it (validating the read set) before reporting it.
+  return Retry(target, [&](DynamicTxn& txn) {
+    return UpsertInTxn(txn, target, key, value, /*strict=*/true);
+  });
 }
 
-Status BTree::BranchRemoveInTxn(DynamicTxn& txn, uint64_t branch_sid,
-                                const std::string& key) {
-  WriteOp op;
-  op.kind = WriteOp::Kind::kRemove;
-  op.key = key;
-  return BranchApplyWritesInTxn(txn, branch_sid, {op});
+Status BTree::Remove(const Target& target, const std::string& key) {
+  return Retry(target, [&](DynamicTxn& txn) {
+    return RemoveInTxn(txn, target, key);
+  });
 }
 
-Status BTree::BranchRemove(uint64_t branch_sid, const std::string& key) {
-  MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
-  return RunOp([&](DynamicTxn& txn) -> Status {
-    auto tip = ReadBranchTipInTxn(txn, branch_sid, /*for_write=*/true);
-    if (!tip.ok()) return tip.status();
-    auto path = Traverse(txn, tip->sid, tip->root, key,
-                         TraverseMode::kUpToDate);
-    if (!path.ok()) return path.status();
-    if (path->back().view.FindKey(key) == path->back().view.num_entries()) {
-      return Status::NotFound("key absent");
+Status BTree::Scan(const Target& target, const std::string& start,
+                   size_t limit,
+                   std::vector<std::pair<std::string, std::string>>* out,
+                   std::string* resume_key) {
+  const bool one_leaf = target.kind != Target::Kind::kTip;
+  return Retry(target, [&](DynamicTxn& txn) -> Status {
+    out->clear();
+    resume_key->clear();
+    auto at = ResolveInTxn(txn, target, /*for_write=*/false);
+    if (!at.ok()) return at.status();
+    std::string cursor = start;
+    while (true) {
+      auto path = Traverse(txn, at->sid, at->root, cursor, ModeFor(target));
+      if (!path.ok()) return path.status();
+      const NodeView& leaf = path->back().view;
+      size_t i = leaf.LowerBound(cursor);
+      for (; i < leaf.num_entries() && out->size() < limit; i++) {
+        out->emplace_back(leaf.EntryKey(i).ToString(),
+                          leaf.EntryValue(i).ToString());
+      }
+      if (i < leaf.num_entries()) {
+        *resume_key = leaf.EntryKey(i).ToString();  // limit hit mid-leaf
+        return Status::OK();
+      }
+      if (leaf.high_fence().empty()) return Status::OK();  // rightmost leaf
+      if (one_leaf || out->size() >= limit) {
+        *resume_key = leaf.high_fence().ToString();
+        return Status::OK();
+      }
+      cursor = leaf.high_fence().ToString();
     }
-    auto leaf = path->back().view.ToNode();  // mutation boundary
-    if (!leaf.ok()) return leaf.status();
-    leaf->Erase(key);
-    return ApplyLeafMutation(txn, *tip, *path, std::move(*leaf));
   });
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot reads
+// GC horizon
 
 // Reading below the garbage-collection horizon is unsupported (§4.4: the
 // lowest retained snapshot id bounds queryable history). Persistent aborts
@@ -908,97 +891,6 @@ Status BTree::CheckGcHorizon(uint64_t sid) {
     return Status::InvalidArgument("snapshot below the GC horizon");
   }
   return Status::OK();
-}
-
-Status BTree::SnapshotGet(const SnapshotRef& snap, const std::string& key,
-                          std::string* value) {
-  MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
-  return RunSnapshotOp(snap.sid, [&](DynamicTxn& txn) -> Status {
-    auto path = Traverse(txn, snap.sid, snap.root, key,
-                         TraverseMode::kSnapshotRead);
-    if (!path.ok()) return path.status();
-    return LeafLookup(path->back().view, key, value);
-  });
-}
-
-Status BTree::SnapshotMultiGet(
-    const SnapshotRef& snap, const std::vector<std::string>& keys,
-    std::vector<std::optional<std::string>>* values) {
-  for (const std::string& key : keys) {
-    MINUET_RETURN_NOT_OK(CheckKeyValue(key, ""));
-  }
-  return RunSnapshotOp(snap.sid, [&](DynamicTxn& txn) -> Status {
-    return MultiGetAt(txn, snap.sid, snap.root, TraverseMode::kSnapshotRead,
-                      keys, values);
-  });
-}
-
-Status BTree::SnapshotScanChunk(
-    const SnapshotRef& snap, const std::string& start_key, size_t limit,
-    std::vector<std::pair<std::string, std::string>>* out,
-    std::string* resume_key) {
-  // A scan start is a position, not a key: any byte string is valid ("" =
-  // the beginning; cursor resume keys may exceed the max entry size).
-  resume_key->clear();
-  return RunSnapshotOp(snap.sid, [&](DynamicTxn& txn) -> Status {
-    auto path = Traverse(txn, snap.sid, snap.root, start_key,
-                         TraverseMode::kSnapshotRead);
-    if (!path.ok()) return path.status();
-    const NodeView& leaf = path->back().view;
-    size_t i = leaf.LowerBound(start_key);
-    for (; i < leaf.num_entries() && out->size() < limit; i++) {
-      out->emplace_back(leaf.EntryKey(i).ToString(),
-                        leaf.EntryValue(i).ToString());
-    }
-    if (i < leaf.num_entries()) {
-      *resume_key = leaf.EntryKey(i).ToString();  // limit hit mid-leaf
-    } else if (!leaf.high_fence().empty()) {
-      *resume_key = leaf.high_fence().ToString();
-    }
-    return Status::OK();
-  });
-}
-
-Status BTree::SnapshotScan(
-    const SnapshotRef& snap, const std::string& start_key, size_t limit,
-    std::vector<std::pair<std::string, std::string>>* out) {
-  out->clear();
-  std::string cursor = start_key;
-  while (out->size() < limit) {
-    std::string resume;
-    MINUET_RETURN_NOT_OK(
-        SnapshotScanChunk(snap, cursor, limit, out, &resume));
-    if (resume.empty()) break;  // rightmost leaf or limit reached
-    cursor = std::move(resume);
-  }
-  return Status::OK();
-}
-
-Status BTree::TipScan(
-    const std::string& start_key, size_t limit,
-    std::vector<std::pair<std::string, std::string>>* out) {
-  // A scan start is a position, not a key: any byte string is valid ("" =
-  // the beginning; cursor resume keys may exceed the max entry size).
-  return RunOp([&](DynamicTxn& txn) -> Status {
-    out->clear();
-    auto tip = ReadTipInTxn(txn);
-    if (!tip.ok()) return tip.status();
-    std::string cursor = start_key;
-    while (out->size() < limit) {
-      auto path = Traverse(txn, tip->sid, tip->root, cursor,
-                           TraverseMode::kUpToDate);
-      if (!path.ok()) return path.status();
-      const NodeView& leaf = path->back().view;
-      for (size_t i = leaf.LowerBound(cursor);
-           i < leaf.num_entries() && out->size() < limit; i++) {
-        out->emplace_back(leaf.EntryKey(i).ToString(),
-                          leaf.EntryValue(i).ToString());
-      }
-      if (leaf.high_fence().empty()) break;
-      cursor = leaf.high_fence().ToString();
-    }
-    return Status::OK();
-  });
 }
 
 // ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@
 #include <functional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -58,12 +59,14 @@ struct TreeOptions {
   bool blocking_snapshot_commit = true;
 };
 
-// A writable tip resolved inside a transaction: operating snapshot id, root
-// location, and where the root must be re-published if it moves.
+// A target resolved inside a transaction: operating snapshot id, root
+// location, and where the root must be re-published if it moves (never,
+// for a read-only snapshot).
 struct TipContext {
   uint64_t sid = 0;
   Addr root;
-  enum class Source { kLinearTip, kBranch } source = Source::kLinearTip;
+  enum class Source { kLinearTip, kBranch, kSnapshot } source =
+      Source::kLinearTip;
 };
 
 // Read-only snapshot handle (returned by snapshot creation).
@@ -71,6 +74,37 @@ struct SnapshotRef {
   uint64_t sid = 0;
   Addr root;
 };
+
+// What a data operation reads or writes. One tree serves three regimes
+// that differ only in which (sid, root) an operation resolves and whether
+// its reads join a validated read set:
+//   Tip()          the live linear tip (§3): strictly serializable;
+//   Branch(sid)    a branch tip of a branching tree (§5): its catalog
+//                  entry is read (and validated) per transaction, and
+//                  writes fail ReadOnly once the branch has been forked;
+//   Snapshot(ref)  a frozen snapshot (§4.2): validation-free reads, and
+//                  every write fails ReadOnly.
+// A plain value: trivially copyable, no heap storage.
+struct Target {
+  enum class Kind : uint8_t { kTip, kBranch, kSnapshot };
+  Kind kind = Kind::kTip;
+  SnapshotRef snap;  // kBranch: the branch sid only; kSnapshot: sid + root
+
+  static Target Tip() { return Target{}; }
+  static Target Branch(uint64_t sid) {
+    return Target{Kind::kBranch, SnapshotRef{sid, Addr{}}};
+  }
+  static Target Snapshot(const SnapshotRef& ref) {
+    return Target{Kind::kSnapshot, ref};
+  }
+
+  bool operator<(const Target& o) const {
+    if (kind != o.kind) return kind < o.kind;
+    if (snap.sid != o.snap.sid) return snap.sid < o.snap.sid;
+    return snap.root < o.snap.root;
+  }
+};
+static_assert(std::is_trivially_copyable_v<Target>);
 
 class BTree {
  public:
@@ -111,77 +145,78 @@ class BTree {
   // empty root leaf. Exactly one proxy calls this per tree.
   Status CreateTree();
 
-  // --- Single-key operations on the (linear) tip snapshot ------------------
-  Status Get(const std::string& key, std::string* value);
-  Status Put(const std::string& key, const std::string& value);
-  // Strict insert: fails with AlreadyExists when the key is present (the
-  // distinction CDB draws between its kInsert and kUpsert procedures).
-  Status Insert(const std::string& key, const std::string& value);
-  Status Remove(const std::string& key);
-
-  // --- Operations on a writable branch tip (branching mode) ---------------
-  Status BranchGet(uint64_t branch_sid, const std::string& key,
-                   std::string* value);
-  Status BranchPut(uint64_t branch_sid, const std::string& key,
-                   const std::string& value);
-  Status BranchInsert(uint64_t branch_sid, const std::string& key,
-                      const std::string& value);
-  Status BranchRemove(uint64_t branch_sid, const std::string& key);
-
-
-  // --- In-transaction variants (multi-key / multi-tree transactions) ------
-  // The caller owns the transaction and its commit; these read the tip
-  // inside the caller's transaction so everything validates together.
-  Status GetInTxn(DynamicTxn& txn, const std::string& key,
-                  std::string* value);
+  // --- Data operations: one entry per operation, any Target ---------------
+  // Tip and branch targets run in validated transactions that commit with
+  // optimistic retry; snapshot targets read validation-free (§4.2) and
+  // fail fast with InvalidArgument once the GC horizon passes them. Writes
+  // to a snapshot, or to a branch that has been forked, fail ReadOnly.
+  Status Get(const Target& target, const std::string& key,
+             std::string* value);
   // Batched point reads (the Sinfonia batching the paper's §4.1 argument
   // rests on): every key's leaf address is resolved through shared dirty
   // inner-node descents, then ALL distinct leaves are fetched in ONE
-  // minitransaction round and join the read set together. `(*values)[i]`
-  // is nullopt when `keys[i]` is absent. O(1) leaf-read coordinator rounds
-  // instead of one per key.
-  Status MultiGetInTxn(DynamicTxn& txn, const std::vector<std::string>& keys,
-                       std::vector<std::optional<std::string>>* values);
-  Status PutInTxn(DynamicTxn& txn, const std::string& key,
-                  const std::string& value);
-  // CAUTION: an AlreadyExists return must still COMMIT the enclosing
-  // transaction (the answer comes from cached reads and needs commit-time
-  // validation — RunTransaction handles this). In a multi-op transaction,
-  // settle strict-insert existence via GetInTxn BEFORE buffering writes,
-  // or the commit installs a partial result (see Proxy::Apply).
-  Status InsertInTxn(DynamicTxn& txn, const std::string& key,
-                     const std::string& value);
-  Status RemoveInTxn(DynamicTxn& txn, const std::string& key);
-
-  // --- Read-only snapshot operations (§4.2: no validation, fence-key and
-  // copied-snapshot checks only; traversals follow copies when stale) ------
-  Status SnapshotGet(const SnapshotRef& snap, const std::string& key,
-                     std::string* value);
-  // Batched snapshot point reads: same leaf grouping as MultiGetInTxn but
-  // with §4.2 semantics — nothing joins a read set, fence-key and
-  // copied-snapshot checks replace validation, no commit needed.
-  Status SnapshotMultiGet(const SnapshotRef& snap,
-                          const std::vector<std::string>& keys,
-                          std::vector<std::optional<std::string>>* values);
-  // Scan up to `limit` pairs starting at `start_key` (inclusive).
-  Status SnapshotScan(const SnapshotRef& snap, const std::string& start_key,
-                      size_t limit,
-                      std::vector<std::pair<std::string, std::string>>* out);
-  // One cursor step: read a single leaf's worth of pairs starting at
-  // `start_key` (at most `limit`). On return `*resume_key` is where the
-  // next chunk begins — empty once the scan is exhausted. Streaming scans
-  // (minuet::Cursor) chain chunks so a long scan never materializes.
-  Status SnapshotScanChunk(const SnapshotRef& snap,
-                           const std::string& start_key, size_t limit,
-                           std::vector<std::pair<std::string, std::string>>*
-                               out,
-                           std::string* resume_key);
-
-  // Strictly serializable scan against the tip: every leaf joins the read
-  // set, so concurrent updates within the range abort the scan. This is the
+  // minitransaction round. `(*values)[i]` is nullopt when `keys[i]` is
+  // absent. O(1) leaf-read coordinator rounds instead of one per key.
+  Status MultiGet(const Target& target, const std::vector<std::string>& keys,
+                  std::vector<std::optional<std::string>>* values);
+  Status Put(const Target& target, const std::string& key,
+             const std::string& value);
+  // Strict insert: fails with AlreadyExists when the key is present (the
+  // distinction CDB draws between its kInsert and kUpsert procedures).
+  Status Insert(const Target& target, const std::string& key,
+                const std::string& value);
+  Status Remove(const Target& target, const std::string& key);
+  // Read pairs from `start` (inclusive, at most `limit`) into `*out`,
+  // replacing its contents. A tip scan is ONE strictly serializable
+  // transaction over as many leaves as the limit needs: every leaf joins
+  // the read set, so concurrent updates within the range abort it — the
   // operation the paper shows "may never commit" without snapshots.
-  Status TipScan(const std::string& start_key, size_t limit,
-                 std::vector<std::pair<std::string, std::string>>* out);
+  // Snapshot and branch scans read a single leaf per call. `*resume_key`
+  // is where the next call continues, empty once the range is exhausted;
+  // streaming scans (minuet::Cursor) chain calls so a long scan never
+  // materializes. A start is a position, not a key: any byte string is
+  // valid ("" = the beginning).
+  Status Scan(const Target& target, const std::string& start, size_t limit,
+              std::vector<std::pair<std::string, std::string>>* out,
+              std::string* resume_key);
+
+  // --- In-transaction variants (multi-key / multi-tree transactions) ------
+  // The caller owns the transaction and its commit; the target resolves
+  // inside it, so tip and branch reads validate together with everything
+  // else the transaction touched. A strict insert has no in-transaction
+  // form: settle existence with GetInTxn/MultiGetInTxn BEFORE buffering
+  // writes (see Proxy::Apply), or an AlreadyExists commit would install a
+  // partial result.
+  Status GetInTxn(DynamicTxn& txn, const Target& target,
+                  const std::string& key, std::string* value);
+  Status MultiGetInTxn(DynamicTxn& txn, const Target& target,
+                       const std::vector<std::string>& keys,
+                       std::vector<std::optional<std::string>>* values);
+  Status PutInTxn(DynamicTxn& txn, const Target& target,
+                  const std::string& key, const std::string& value);
+  // NotFound when the key is absent (WriteOp removes stay blind).
+  Status RemoveInTxn(DynamicTxn& txn, const Target& target,
+                     const std::string& key);
+
+  // One buffered write for ApplyWritesInTxn. Strict-insert existence must
+  // be settled by the caller BEFORE applying (see Proxy::Apply): here an
+  // insert is a put, and a remove of an absent key is a tolerated no-op.
+  struct WriteOp {
+    enum class Kind : uint8_t { kPut, kRemove };
+    Kind kind = Kind::kPut;
+    std::string key;
+    std::string value;
+  };
+  // Apply a batch of writes to a tip or branch target inside the caller's
+  // transaction, with the batched cold path and per-leaf dedupe: all
+  // target leaves are resolved with ONE level-synchronized descent
+  // (O(depth) rounds on a cold cache) and fetched into the read set in ONE
+  // round (one commit compare per leaf, not per key), then ops are applied
+  // grouped per leaf — one traversal + one leaf mutation per flush instead
+  // of one per key. A branch target's writability is read (and validated)
+  // inside the same transaction.
+  Status ApplyWritesInTxn(DynamicTxn& txn, const Target& target,
+                          const std::vector<WriteOp>& ops);
 
   // One contiguous slice of a scan range, tagged with the memnode that owns
   // the root-child subtree covering it — the unit of scan fan-out.
@@ -251,53 +286,15 @@ class BTree {
   Status MigrateNodeInTxn(DynamicTxn& txn, const NodePlacement& expected,
                           sinfonia::MemnodeId dest, bool* migrated);
 
-  // One buffered write for ApplyWritesInTxn. Strict-insert existence must
-  // be settled by the caller BEFORE applying (see Proxy::Apply): here an
-  // insert is a put, and a remove of an absent key is a tolerated no-op.
-  struct WriteOp {
-    enum class Kind : uint8_t { kPut, kRemove };
-    Kind kind = Kind::kPut;
-    std::string key;
-    std::string value;
-  };
-  // Apply a batch of writes to the tip inside the caller's transaction,
-  // with the batched cold path and per-leaf dedupe: all target leaves are
-  // resolved with ONE level-synchronized descent (O(depth) rounds on a
-  // cold cache) and fetched into the read set in ONE round (one commit
-  // compare per leaf, not per key), then ops are applied grouped per leaf
-  // — one traversal + one leaf mutation per flush instead of one per key.
-  Status ApplyWritesInTxn(DynamicTxn& txn, const std::vector<WriteOp>& ops);
-
-  // --- In-transaction branch-tip writes (branching mode) -------------------
-  // WriteBatch routing and multi-key transactions against a writable
-  // branch: the branch's writability is read (and validated) inside the
-  // caller's transaction, and the mutations ride the same batched
-  // ApplyWritesInTxn machinery as linear-tip batches. Remove here is BLIND
-  // (absent keys are tolerated, matching WriteOp semantics); use
-  // BranchRemove for the NotFound-reporting single op.
-  Status BranchApplyWritesInTxn(DynamicTxn& txn, uint64_t branch_sid,
-                                const std::vector<WriteOp>& ops);
-  Status BranchPutInTxn(DynamicTxn& txn, uint64_t branch_sid,
-                        const std::string& key, const std::string& value);
-  Status BranchRemoveInTxn(DynamicTxn& txn, uint64_t branch_sid,
-                           const std::string& key);
-
   // --- Snapshot creation (Fig. 6; called via the mvcc snapshot service) ----
   // Freezes the current tip and installs tip id + 1. Returns the frozen
   // (read-only) snapshot. The whole effect takes place when `txn` commits.
   Result<SnapshotRef> CreateSnapshotInTxn(DynamicTxn& txn);
 
   // --- Tip plumbing (shared with mvcc/version modules) ---------------------
-  Result<TipContext> ReadTipInTxn(DynamicTxn& txn);
-  Result<TipContext> ReadBranchTipInTxn(DynamicTxn& txn, uint64_t branch_sid,
-                                        bool for_write);
   // Invalidate the proxy-cached tip objects (called after aborts so the
   // retry refetches them).
   void InvalidateTipCache();
-
-  // Resolve a read-only snapshot's root by following recorded root copies —
-  // used by readers that only know the sid (branch catalog lookups).
-  Result<Addr> BranchRootInTxn(DynamicTxn& txn, uint64_t sid);
 
   // Copy-on-write of an arbitrary node into snapshot `sid` (used by branch
   // creation to copy the root eagerly). Returns the copy's address.
@@ -458,8 +455,8 @@ class BTree {
                            std::vector<LeafGroup>* groups,
                            std::vector<Addr>* visited_out);
 
-  // Shared body of MultiGetInTxn / SnapshotMultiGet: resolve every key's
-  // leaf with ResolveLeafGroups, batch-fetch all distinct leaves in one
+  // Shared body of MultiGetInTxn: resolve every key's leaf with
+  // ResolveLeafGroups, batch-fetch all distinct leaves in one
   // minitransaction, then run the per-leaf safety checks (§4.2/§5.2
   // version checks, fences, height) that Traverse would have run,
   // aborting for retry on any failure.
@@ -467,18 +464,30 @@ class BTree {
                     TraverseMode mode, const std::vector<std::string>& keys,
                     std::vector<std::optional<std::string>>* values);
 
-  // Shared body of ApplyWritesInTxn / BranchApplyWritesInTxn (descent.cc):
-  // with `branch`, every tip read resolves the branch catalog entry for
-  // `branch_sid` (validated, writable-checked) instead of the linear tip.
-  Status ApplyWritesToTip(DynamicTxn& txn, const std::vector<WriteOp>& ops,
-                          bool branch, uint64_t branch_sid);
+  // The linear tip's (sid, root), from the proxy-cached tip objects.
+  Result<TipContext> ReadTipInTxn(DynamicTxn& txn);
+  // A branch tip's (sid, root) from its catalog entry, which joins the read
+  // set; with `for_write`, ReadOnly once the branch has been forked.
+  Result<TipContext> ReadBranchTipInTxn(DynamicTxn& txn, uint64_t branch_sid,
+                                        bool for_write);
+  // Resolve `target` inside `txn`: tip → ReadTipInTxn, branch →
+  // ReadBranchTipInTxn, snapshot → its ref. A write (`for_write`) to a
+  // snapshot fails ReadOnly.
+  Result<TipContext> ResolveInTxn(DynamicTxn& txn, const Target& target,
+                                  bool for_write);
+  // Snapshot targets traverse validation-free; tip and branch targets
+  // join the leaf to the read set.
+  static TraverseMode ModeFor(const Target& target) {
+    return target.kind == Target::Kind::kSnapshot ? TraverseMode::kSnapshotRead
+                                                  : TraverseMode::kUpToDate;
+  }
 
-  // Shared body of the four put/insert entry points: traverse to the leaf
-  // under `tip` and upsert `key`; with `strict`, fail AlreadyExists when
-  // the key is present.
-  Status UpsertLeafInTxn(DynamicTxn& txn, const TipContext& tip,
-                         const std::string& key, const std::string& value,
-                         bool strict);
+  // Shared body of PutInTxn and Insert: resolve `target` for writing,
+  // traverse to the leaf and upsert `key` in ONE traversal; with `strict`,
+  // fail AlreadyExists when the key is present.
+  Status UpsertInTxn(DynamicTxn& txn, const Target& target,
+                     const std::string& key, const std::string& value,
+                     bool strict);
 
   // Write back a modified leaf (path.back()), performing copy-on-write,
   // splits and parent updates as needed; re-publishes the root if it moves
@@ -506,16 +515,15 @@ class BTree {
   // garbage-collection horizon (such snapshots are no longer queryable).
   Status CheckGcHorizon(uint64_t sid);
 
-  // Retry wrapper for whole-operation optimistic retry.
+  // The one retry loop of every whole operation; the policy comes from
+  // the target kind. Tip and branch: `body` runs in a fresh transaction
+  // that COMMITS (validating its read set) before its answer is reported,
+  // and a retry drops the cached reads the failed validation implicated.
+  // Snapshot: fetch-only (§4.2, nothing to commit), and the GC horizon is
+  // consulted periodically so reads below it fail fast with
+  // InvalidArgument instead of retrying forever.
   template <typename Body>
-  Status RunOp(Body&& body);
-
-  // Retry wrapper for validation-free snapshot reads (§4.2): `body` runs
-  // in a fresh fetch-only transaction per attempt (no commit), retryable
-  // aborts back off, and the GC horizon is consulted periodically so reads
-  // below it fail fast with InvalidArgument instead of retrying forever.
-  template <typename Body>
-  Status RunSnapshotOp(uint64_t sid, Body&& body);
+  Status Retry(const Target& target, Body&& body);
 
   sinfonia::Coordinator* coord_;
   NodeAllocator* allocator_;
@@ -538,18 +546,25 @@ uint64_t DecodeTipId(Slice payload);
 std::string EncodeRootLoc(Addr root);
 Addr DecodeRootLoc(Slice payload);
 
-// Retry wrapper for whole-operation optimistic retry: defined here so the
-// batched-descent entry points in descent.cc can instantiate it too.
+// Defined here so the batched-descent and migration entry points in
+// descent.cc and migrate.cc can instantiate it too.
 template <typename Body>
-Status BTree::RunOp(Body&& body) {
+Status BTree::Retry(const Target& target, Body&& body) {
+  const bool snapshot = target.kind == Target::Kind::kSnapshot;
   Status last = Status::Aborted("no attempts");
   for (uint32_t attempt = 0; attempt < options_.max_attempts; attempt++) {
     DynamicTxn txn(coord_, cache_);
     Status st = body(txn);
-    // A stale cache must not refuse an Insert or invent a miss: answers
-    // commit (validating the read set) before being reported, and retry
-    // if validation aborts.
-    if (st.IsCommittableAnswer()) {
+    if (snapshot) {
+      if (st.ok() || !st.IsRetryable()) {
+        coord_->RecordTxnAttempt(st);
+        return st;
+      }
+      last = st;
+    } else if (st.IsCommittableAnswer()) {
+      // A stale cache must not refuse an Insert or invent a miss: answers
+      // commit (validating the read set) before being reported, and retry
+      // if validation aborts.
       Status cst = txn.Commit();
       if (cst.ok()) {
         coord_->RecordTxnAttempt(st);
@@ -568,43 +583,21 @@ Status BTree::RunOp(Body&& body) {
     }
     coord_->RecordTxnAttempt(last);
     stats_->op_aborts.Increment();
-    // The failed validation implicates something the transaction read from
-    // the proxy cache (the tip objects, or — with dirty traversals off —
-    // cached internal nodes). Drop them all so the retry refetches.
-    if (cache_ != nullptr) {
-      for (const Addr& a : txn.ReadSetAddrs()) cache_->Invalidate(a);
+    if (snapshot) {
+      if (attempt % 64 == 5) {
+        MINUET_RETURN_NOT_OK(CheckGcHorizon(target.snap.sid));
+      }
+    } else {
+      // The failed validation implicates something the transaction read
+      // from the proxy cache (the tip objects, or — with dirty traversals
+      // off — cached internal nodes). Drop them all so the retry refetches.
+      if (cache_ != nullptr) {
+        for (const Addr& a : txn.ReadSetAddrs()) cache_->Invalidate(a);
+      }
+      InvalidateTipCache();
     }
-    InvalidateTipCache();
     // Persistent conflicts on an oversubscribed host: let the conflicting
     // writer actually run before retrying (see Coordinator::Execute).
-    if (attempt >= 3) {
-      // lint:allow(sleep-in-src): bounded contention backoff inside the
-      // retry loop; there is no event to wait on, only a conflicting
-      // writer that needs CPU time to finish.
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-  return last;
-}
-
-// The shared retry skeleton of every validation-free snapshot read: a
-// fresh fetch-only transaction per attempt (no commit, §4.2), backoff on
-// persistent aborts, and a periodic horizon check so reads below the GC
-// horizon fail fast instead of retrying to exhaustion.
-template <typename Body>
-Status BTree::RunSnapshotOp(uint64_t sid, Body&& body) {
-  Status last = Status::Aborted("no attempts");
-  for (uint32_t attempt = 0; attempt < options_.max_attempts; attempt++) {
-    DynamicTxn txn(coord_, cache_);
-    Status st = body(txn);
-    if (st.ok() || !st.IsRetryable()) {
-      coord_->RecordTxnAttempt(st);
-      return st;
-    }
-    last = st;
-    coord_->RecordTxnAttempt(last);
-    stats_->op_aborts.Increment();
-    if (attempt % 64 == 5) MINUET_RETURN_NOT_OK(CheckGcHorizon(sid));
     if (attempt >= 3) {
       // lint:allow(sleep-in-src): bounded contention backoff inside the
       // retry loop; there is no event to wait on, only a conflicting

@@ -13,7 +13,7 @@ namespace minuet {
 
 // Why an optimistic retry attempt aborted (the taxonomy PR 9 replaced the
 // opaque Status::Aborted(...) strings with on the retry paths). Recorded per
-// attempt by txn::RunTransaction / BTree::RunOp and counted in the metrics
+// attempt by txn::RunTransaction / BTree::Retry and counted in the metrics
 // registry, so abort causes are queryable instead of buried in log strings.
 enum class AbortReason : unsigned char {
   kNone = 0,              // not an abort (or reason unknown)
@@ -118,7 +118,7 @@ class [[nodiscard]] Status {
   // from (possibly cached) reads rather than failures: the enclosing retry
   // loop must COMMIT — validating the read set — before reporting them,
   // and retry on a validation abort. Shared by txn::RunTransaction and
-  // btree's RunOp so the two loops cannot diverge.
+  // BTree::Retry so the two loops cannot diverge.
   bool IsCommittableAnswer() const {
     return ok() || code_ == Code::kNotFound || code_ == Code::kAlreadyExists;
   }

@@ -88,8 +88,8 @@ struct ClusterOptions {
   uint64_t retain_snapshots = 16;
   uint32_t max_op_attempts = 10000;
   // Bind every subsystem's counters into the cluster metrics registry
-  // (Cluster::DumpStats). The counters themselves always count — binding
-  // only affects whether DumpStats sees them — so disabling this is a
+  // (Cluster::DumpStatsJson). The counters themselves always count —
+  // binding only affects whether the dump sees them — so disabling this is a
   // measurement knob, not a fast path (see bench/abl_node_micro's
   // registry-overhead section).
   bool metrics = true;
@@ -233,9 +233,6 @@ class Proxy {
  private:
   friend class Cluster;
   friend class View;
-  friend class TipView;
-  friend class SnapshotView;
-  friend class BranchView;
   Proxy(Cluster* cluster, uint32_t id);
   version::VersionManager* vm(uint32_t tree);
   Result<SnapshotView> AcquirePinnedView(const TreeHandle& tree, bool strict);
@@ -496,13 +493,11 @@ class Cluster {
   obs::HistogramMetric& op_histogram(ClientOp op) {
     return op_latency_[static_cast<size_t>(op)];
   }
-  // Human-readable stats report: cluster shape, per-memnode / per-proxy /
-  // per-tree rollups, then the full registry dump.
-  std::string DumpStats() const;
-  // The same data as stable JSON:
+  // The stats report as stable JSON: cluster shape, per-memnode /
+  // per-proxy / per-tree rollups, then the full registry dump:
   //   {"cluster": {...}, "memnodes": [...], "proxies": [...],
   //    "trees": [...], "metrics": {"subsystem": {"name": value, ...}, ...}}
-  // tools/statsdump pretty-prints and diffs this shape.
+  // tools/statsdump.py pretty-prints and diffs this shape.
   std::string DumpStatsJson() const;
 
   // --- Plumbing (benchmarks, tests) -----------------------------------------

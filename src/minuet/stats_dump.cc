@@ -1,4 +1,4 @@
-// The cluster's introspection surface: metric binding plus DumpStats.
+// The cluster's introspection surface: metric binding plus DumpStatsJson.
 //
 // Binding happens once per component lifetime event (construction,
 // AddProxy, AddMemnode, CreateTree, first rebalancer() use) and only LINKS
@@ -181,14 +181,6 @@ void Cluster::BindRebalancerMetrics() {
 
 namespace {
 
-void AppendKv(std::string* out, const char* key, uint64_t v,
-              const char* sep = " ") {
-  *out += key;
-  *out += '=';
-  *out += std::to_string(v);
-  *out += sep;
-}
-
 // JSON building blocks over the hand-built style obs::AppendJsonString
 // anchors: callers are responsible for commas between fields.
 void JsonField(std::string* out, const char* key, uint64_t v) {
@@ -210,84 +202,6 @@ void JsonField(std::string* out, const char* key, const char* v) {
 }
 
 }  // namespace
-
-std::string Cluster::DumpStats() const {
-  std::string out;
-  out += "=== cluster ===\n";
-  out += "memnodes=" + std::to_string(n_memnodes()) + " (live " +
-         std::to_string(n_live_memnodes()) + ")  proxies=" +
-         std::to_string(n_proxies()) + " (live " +
-         std::to_string(n_live_proxies()) + ")  trees=" +
-         std::to_string(n_trees()) + "  fabric_messages=" +
-         std::to_string(fabric_->TotalMessages()) + "  durability=" +
-         wal::DurabilityModeName(options_.durability) + "\n";
-
-  out += "=== memnodes ===\n";
-  for (uint32_t i = 0; i < n_memnodes(); i++) {
-    out += "memnode" + std::to_string(i) + ": ";
-    if (coord_->retired(i)) {
-      out += "retired\n";
-      continue;
-    }
-    if (!fabric_->IsUp(i)) out += "DOWN ";
-    AppendKv(&out, "messages", fabric_->NodeMessages(i));
-    const auto locks = memnodes_[i]->lock_table().TotalStats();
-    AppendKv(&out, "lock_acquires", locks.acquires);
-    AppendKv(&out, "lock_contended", locks.contended);
-    if (store::CheckpointedStore* ds = coord_->durable_store(i)) {
-      AppendKv(&out, "lock_timeouts", locks.timeouts);
-      AppendKv(&out, "wal_appends", ds->wal().metrics().appends.Value());
-      AppendKv(&out, "wal_fsyncs", ds->wal().metrics().fsyncs.Value());
-      AppendKv(&out, "checkpoint_lsn", ds->LastCheckpointLsn(), "\n");
-    } else {
-      AppendKv(&out, "lock_timeouts", locks.timeouts, "\n");
-    }
-  }
-
-  out += "=== proxies ===\n";
-  {
-    std::shared_lock<std::shared_mutex> g(proxies_mu_);
-    for (const auto& proxy : proxies_) {
-      out += "proxy" + std::to_string(proxy->id()) + ": ";
-      if (proxy->detached()) {
-        out += "removed\n";
-        continue;
-      }
-      const auto cache = proxy->cache_->TotalStats();
-      AppendKv(&out, "cache_hits", cache.hits);
-      AppendKv(&out, "cache_misses", cache.misses);
-      AppendKv(&out, "cache_evictions", cache.evictions);
-      AppendKv(&out, "cache_size", cache.size, "\n");
-    }
-  }
-
-  out += "=== trees ===\n";
-  for (uint32_t slot = 0; slot < n_trees(); slot++) {
-    out += "tree" + std::to_string(slot) + ": ";
-    auto handle = catalog_->Handle(slot);
-    if (handle.ok() && handle->branching()) out += "branching ";
-    if (const btree::BTree::Stats* stats = catalog_->tree_stats(slot)) {
-      AppendKv(&out, "op_aborts", stats->op_aborts.Value());
-      AppendKv(&out, "traversal_aborts", stats->traversal_aborts.Value());
-      AppendKv(&out, "cow_copies", stats->cow_copies.Value());
-      AppendKv(&out, "splits", stats->splits.Value());
-      AppendKv(&out, "migrations", stats->migrations.Value());
-    }
-    if (mvcc::SnapshotService* snaps = catalog_->snapshot_service(slot)) {
-      AppendKv(&out, "snapshots", snaps->snapshots_created());
-      AppendKv(&out, "pinned", snaps->pinned_count());
-      AppendKv(&out, "horizon", snaps->LowestRetained());
-    }
-    if (mvcc::GarbageCollector* gc = catalog_->gc(slot)) {
-      AppendKv(&out, "gc_freed", gc->total_freed());
-    }
-    out += "\n";
-  }
-
-  out += "=== metrics ===\n";
-  out += registry_.ToText();
-  return out;
-}
 
 std::string Cluster::DumpStatsJson() const {
   std::string out = "{\"cluster\":{";

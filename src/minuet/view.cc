@@ -166,219 +166,13 @@ Status Cursor::Drain(size_t limit,
 }
 
 // ---------------------------------------------------------------------------
-// View
-
-btree::BTree* View::btree() const { return proxy_->tree(tree_); }
-
-Status View::CheckUsable() const { return proxy_->CheckHandle(tree_); }
-
-Status View::Put(const std::string&, const std::string&) {
-  return Status::ReadOnly("view is read-only");
-}
-
-Status View::Insert(const std::string&, const std::string&) {
-  return Status::ReadOnly("view is read-only");
-}
-
-Status View::Remove(const std::string&) {
-  return Status::ReadOnly("view is read-only");
-}
-
-namespace {
-
-// Shared MultiGet contract: nullopt on a miss, propagate other errors.
-template <typename PointGet>
-Status MultiGetImpl(const std::vector<std::string>& keys,
-                    std::vector<std::optional<std::string>>* values,
-                    PointGet&& get) {
-  values->assign(keys.size(), std::nullopt);
-  for (size_t i = 0; i < keys.size(); i++) {
-    std::string value;
-    Status st = get(keys[i], &value);
-    if (st.ok()) {
-      (*values)[i] = std::move(value);
-    } else if (!st.IsNotFound()) {
-      return st;
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status View::MultiGet(const std::vector<std::string>& keys,
-                      std::vector<std::optional<std::string>>* values) {
-  return MultiGetImpl(keys, values, [this](const std::string& key,
-                                           std::string* value) {
-    return Get(key, value);
-  });
-}
-
-Status View::Scan(const std::string& start, size_t limit,
-                  std::vector<std::pair<std::string, std::string>>* out) {
-  OpObserver obs(proxy_, ClientOp::kScan);
-  out->clear();
-  Cursor::Options copts;
-  if (limit > 0) {
-    copts.chunk_size = std::min<size_t>(limit, copts.chunk_size);
-    copts.limit = limit;
-  }
-  auto cursor = NewCursor(start, copts);
-  return cursor->Drain(limit, out);
-}
-
-// ---------------------------------------------------------------------------
-// TipView
-
-Status TipView::Get(const std::string& key, std::string* value) {
-  OpObserver obs(proxy_, ClientOp::kGet);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  MINUET_RETURN_NOT_OK(CheckLinearAccess(tree_));
-  return btree()->Get(key, value);
-}
-
-Status TipView::Put(const std::string& key, const std::string& value) {
-  OpObserver obs(proxy_, ClientOp::kPut);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  MINUET_RETURN_NOT_OK(CheckLinearAccess(tree_));
-  return btree()->Put(key, value);
-}
-
-Status TipView::Insert(const std::string& key, const std::string& value) {
-  OpObserver obs(proxy_, ClientOp::kInsert);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  MINUET_RETURN_NOT_OK(CheckLinearAccess(tree_));
-  return btree()->Insert(key, value);
-}
-
-Status TipView::Remove(const std::string& key) {
-  OpObserver obs(proxy_, ClientOp::kRemove);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  MINUET_RETURN_NOT_OK(CheckLinearAccess(tree_));
-  return btree()->Remove(key);
-}
-
-Status TipView::MultiGet(const std::vector<std::string>& keys,
-                         std::vector<std::optional<std::string>>* values) {
-  OpObserver obs(proxy_, ClientOp::kMultiGet);
-  // All-or-nothing contract: every exit path of a failed MultiGet — early
-  // validation errors included — leaves only nullopt answers behind.
-  values->assign(keys.size(), std::nullopt);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  MINUET_RETURN_NOT_OK(CheckLinearAccess(tree_));
-  // One transaction AND one batched leaf round (BTree::MultiGetInTxn): the
-  // inner descents share the proxy cache, the distinct leaves are fetched
-  // in a single minitransaction, and everything validates together at
-  // commit — an atomic, strictly serializable multi-point read in O(1)
-  // coordinator rounds instead of one per key. The value reset runs INSIDE
-  // the body — a retried attempt must not inherit values its aborted
-  // predecessor read.
-  Status st = proxy_->Transaction([&](txn::DynamicTxn& txn) -> Status {
-    return btree()->MultiGetInTxn(txn, keys, values);
-  });
-  if (!st.ok()) values->assign(keys.size(), std::nullopt);
-  return st;
-}
-
-Status TipView::Scan(const std::string& start, size_t limit,
-                     std::vector<std::pair<std::string, std::string>>* out) {
-  OpObserver obs(proxy_, ClientOp::kScan);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  MINUET_RETURN_NOT_OK(CheckLinearAccess(tree_));
-  // One transaction end-to-end: the whole range validates together at
-  // commit (the semantics ProxyKV's kTip mode and the Fig. 16 comparison
-  // rely on). For unbounded streaming use NewCursor, which trades that
-  // atomicity for piecewise chunks.
-  return btree()->TipScan(start, limit, out);
-}
-
-std::unique_ptr<Cursor> TipView::NewCursor(const std::string& start,
-                                           Cursor::Options options) {
-  if (Status st = CheckUsable(); !st.ok()) {
-    return std::unique_ptr<Cursor>(new Cursor(std::move(st)));
-  }
-  if (Status st = CheckLinearAccess(tree_); !st.ok()) {
-    return std::unique_ptr<Cursor>(new Cursor(std::move(st)));
-  }
-  btree::BTree* tree = btree();
-  const Proxy* proxy = proxy_;
-  auto fetch = [tree, proxy](
-                   const std::string& from, size_t limit,
-                   std::vector<std::pair<std::string, std::string>>* out,
-                   std::string* resume) -> Status {
-    MINUET_RETURN_NOT_OK(CheckProxyLive(proxy));
-    // The cursor hands over a cleared buffer, so TipScan fills it directly.
-    MINUET_RETURN_NOT_OK(tree->TipScan(from, limit, out));
-    resume->clear();
-    if (out->size() == limit) {
-      // Possibly more beyond the last pair: resume at its successor.
-      *resume = out->back().first + '\0';
-    }
-    return Status::OK();
-  };
-  return std::unique_ptr<Cursor>(new Cursor(fetch, start, options));
-}
-
-// ---------------------------------------------------------------------------
-// SnapshotView
-
-SnapshotView::SnapshotView(Proxy* proxy, TreeHandle tree,
-                           btree::SnapshotRef snap,
-                           mvcc::SnapshotService* service, Lease lease)
-    : View(proxy, tree),
-      snap_(snap),
-      service_(service),
-      pinned_(lease == Lease::kAdopt && service != nullptr) {}
-
-SnapshotView::SnapshotView(SnapshotView&& other) noexcept
-    : View(other.proxy_, other.tree_),
-      snap_(other.snap_),
-      service_(other.service_),
-      pinned_(other.pinned_) {
-  other.pinned_ = false;
-}
-
-SnapshotView& SnapshotView::operator=(SnapshotView&& other) noexcept {
-  if (this != &other) {
-    if (pinned_) service_->Unpin(snap_.sid, proxy_->lease_owner());
-    proxy_ = other.proxy_;
-    tree_ = other.tree_;
-    snap_ = other.snap_;
-    service_ = other.service_;
-    pinned_ = other.pinned_;
-    other.pinned_ = false;
-  }
-  return *this;
-}
-
-SnapshotView::~SnapshotView() {
-  // The lease was pinned under this proxy's identity (AcquirePinnedView);
-  // if the proxy was removed in the meantime, the bulk-release already
-  // dropped it and this Unpin no-ops (per-owner accounting).
-  if (pinned_) service_->Unpin(snap_.sid, proxy_->lease_owner());
-}
-
-Status SnapshotView::Get(const std::string& key, std::string* value) {
-  OpObserver obs(proxy_, ClientOp::kGet);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  return btree()->SnapshotGet(snap_, key, value);
-}
-
-Status SnapshotView::MultiGet(const std::vector<std::string>& keys,
-                              std::vector<std::optional<std::string>>* values) {
-  OpObserver obs(proxy_, ClientOp::kMultiGet);
-  values->assign(keys.size(), std::nullopt);  // no partial answers, ever
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  Status st = btree()->SnapshotMultiGet(snap_, keys, values);
-  if (!st.ok()) values->assign(keys.size(), std::nullopt);
-  return st;
-}
+// Fan-out scans and cursor leases
 
 namespace {
 
 // Drain one fan-out partition [part.start, part.end) with chunked snapshot
 // reads, clipping at the partition's end bound.
-Status DrainPartition(btree::BTree* tree, const btree::SnapshotRef& snap,
+Status DrainPartition(btree::BTree* tree, const btree::Target& snap,
                       const btree::BTree::ScanPartition& part, size_t chunk,
                       size_t max_pairs,
                       std::vector<std::pair<std::string, std::string>>* out) {
@@ -386,8 +180,7 @@ Status DrainPartition(btree::BTree* tree, const btree::SnapshotRef& snap,
   while (true) {
     std::vector<std::pair<std::string, std::string>> pairs;
     std::string resume;
-    MINUET_RETURN_NOT_OK(
-        tree->SnapshotScanChunk(snap, cursor, chunk, &pairs, &resume));
+    MINUET_RETURN_NOT_OK(tree->Scan(snap, cursor, chunk, &pairs, &resume));
     for (auto& kv : pairs) {
       if (!part.end.empty() && kv.first >= part.end) return Status::OK();
       out->push_back(std::move(kv));
@@ -433,6 +226,7 @@ Status FanoutScan(btree::BTree* tree, const btree::SnapshotRef& snap,
   groups.reserve(by_node.size());
   for (auto& [node, idxs] : by_node) groups.push_back(std::move(idxs));
 
+  const btree::Target target = btree::Target::Snapshot(snap);
   std::vector<std::vector<std::pair<std::string, std::string>>> results(
       parts->size());
   std::vector<Status> statuses(parts->size(), Status::OK());
@@ -441,7 +235,7 @@ Status FanoutScan(btree::BTree* tree, const btree::SnapshotRef& snap,
     for (size_t g = next.fetch_add(1); g < groups.size();
          g = next.fetch_add(1)) {
       for (size_t i : groups[g]) {
-        statuses[i] = DrainPartition(tree, snap, (*parts)[i], chunk,
+        statuses[i] = DrainPartition(tree, target, (*parts)[i], chunk,
                                      options.limit, &results[i]);
       }
     }
@@ -459,7 +253,6 @@ Status FanoutScan(btree::BTree* tree, const btree::SnapshotRef& snap,
   }
   return Status::OK();
 }
-
 
 // Shared cursor lease: keeps its snapshot pinned independently of the view
 // (the cursor may be re-leased onto a newer snapshot mid-scan). Pins are
@@ -505,61 +298,201 @@ struct CursorLease {
   bool BelowHorizon() const {
     return service != nullptr && service->LowestRetained() > snap.sid;
   }
+
+  Status Scan(const std::string& from, size_t limit,
+              std::vector<std::pair<std::string, std::string>>* out,
+              std::string* resume) {
+    return tree->Scan(btree::Target::Snapshot(snap), from, limit, out,
+                      resume);
+  }
 };
 
 }  // namespace
 
-std::unique_ptr<Cursor> View::NewFanoutCursor(const Proxy* proxy,
-                                              btree::BTree* tree,
-                                              const btree::SnapshotRef& snap,
-                                              const std::string& start,
-                                              Cursor::Options options) {
-  Cursor::Options fan = options;
-  auto fetch = [proxy, tree, snap, fan](
+// ---------------------------------------------------------------------------
+// View
+
+btree::BTree* View::btree() const { return proxy_->tree(tree_); }
+
+Status View::CheckUsable() const { return proxy_->CheckHandle(tree_); }
+
+std::unique_ptr<Cursor> View::FailedCursor(Status st) {
+  return std::unique_ptr<Cursor>(new Cursor(std::move(st)));
+}
+
+Status View::Get(const std::string& key, std::string* value) {
+  OpObserver obs(proxy_, ClientOp::kGet);
+  MINUET_RETURN_NOT_OK(CheckUsable());
+  return btree()->Get(target_, key, value);
+}
+
+Status View::Put(const std::string& key, const std::string& value) {
+  OpObserver obs(proxy_, ClientOp::kPut);
+  MINUET_RETURN_NOT_OK(CheckUsable());
+  return btree()->Put(target_, key, value);
+}
+
+Status View::Insert(const std::string& key, const std::string& value) {
+  OpObserver obs(proxy_, ClientOp::kInsert);
+  MINUET_RETURN_NOT_OK(CheckUsable());
+  return btree()->Insert(target_, key, value);
+}
+
+Status View::Remove(const std::string& key) {
+  OpObserver obs(proxy_, ClientOp::kRemove);
+  MINUET_RETURN_NOT_OK(CheckUsable());
+  return btree()->Remove(target_, key);
+}
+
+Status View::MultiGet(const std::vector<std::string>& keys,
+                      std::vector<std::optional<std::string>>* values) {
+  OpObserver obs(proxy_, ClientOp::kMultiGet);
+  // All-or-nothing contract: every exit path of a failed MultiGet — early
+  // validation errors included — leaves only nullopt answers behind.
+  values->assign(keys.size(), std::nullopt);
+  MINUET_RETURN_NOT_OK(CheckUsable());
+  auto target = ReadTarget();
+  if (!target.ok()) return target.status();
+  // One batched leaf round (BTree::MultiGet): the inner descents share the
+  // proxy cache and the distinct leaves are fetched in a single
+  // minitransaction. On the tip, everything validates together at commit
+  // — an atomic, strictly serializable multi-point read in O(1)
+  // coordinator rounds instead of one per key.
+  Status st = btree()->MultiGet(*target, keys, values);
+  if (!st.ok()) values->assign(keys.size(), std::nullopt);
+  return st;
+}
+
+Status View::Scan(const std::string& start, size_t limit,
+                  std::vector<std::pair<std::string, std::string>>* out) {
+  OpObserver obs(proxy_, ClientOp::kScan);
+  out->clear();
+  if (target_.kind == btree::Target::Kind::kTip) {
+    // One transaction end-to-end: the whole range validates together at
+    // commit (the semantics ProxyKV's kTip mode and the Fig. 16 comparison
+    // rely on). For unbounded streaming use NewCursor, which trades that
+    // atomicity for piecewise chunks.
+    MINUET_RETURN_NOT_OK(CheckUsable());
+    std::string resume;
+    return btree()->Scan(target_, start, limit, out, &resume);
+  }
+  Cursor::Options copts;
+  if (limit > 0) {
+    copts.chunk_size = std::min<size_t>(limit, copts.chunk_size);
+    copts.limit = limit;
+  }
+  auto cursor = NewCursor(start, copts);
+  return cursor->Drain(limit, out);
+}
+
+std::unique_ptr<Cursor> View::NewCursor(const std::string& start,
+                                        Cursor::Options options) {
+  if (Status st = CheckUsable(); !st.ok()) return FailedCursor(std::move(st));
+  auto resolved = ReadTarget();
+  if (!resolved.ok()) return FailedCursor(resolved.status());
+  const btree::Target target = *resolved;
+  btree::BTree* tree = btree();
+  const Proxy* proxy = proxy_;
+  if (options.fanout > 1 && target.kind == btree::Target::Kind::kSnapshot) {
+    // One fetch runs the whole parallel fan-out scan and the cursor then
+    // streams from the stitched buffer. It reads exactly the view's
+    // snapshot: the view's pin (if any) covers the one-shot fetch.
+    Cursor::Options fan = options;
+    auto fetch = [proxy, tree, target, fan](
+                     const std::string& from, size_t,
+                     std::vector<std::pair<std::string, std::string>>* out,
+                     std::string* resume) -> Status {
+      MINUET_RETURN_NOT_OK(CheckProxyLive(proxy));
+      resume->clear();  // one-shot: everything arrives in this chunk
+      return FanoutScan(tree, target.snap, from, fan, out);
+    };
+    options.end_key.clear();  // FanoutScan already applies the bound
+    options.prefetch = false;
+    return std::unique_ptr<Cursor>(
+        new Cursor(std::move(fetch), start, options));
+  }
+  // A tip fetch is one strictly serializable transaction that fills the
+  // whole chunk; snapshot and branch fetches read one leaf each.
+  auto fetch = [tree, target, proxy](
                    const std::string& from, size_t limit,
                    std::vector<std::pair<std::string, std::string>>* out,
                    std::string* resume) -> Status {
-    (void)limit;
     MINUET_RETURN_NOT_OK(CheckProxyLive(proxy));
-    resume->clear();  // one-shot: everything arrives in this chunk
-    return FanoutScan(tree, snap, from, fan, out);
+    return tree->Scan(target, from, limit, out, resume);
   };
-  options.end_key.clear();  // FanoutScan already applies the bound
-  options.prefetch = false;
   return std::unique_ptr<Cursor>(new Cursor(std::move(fetch), start, options));
+}
+
+// ---------------------------------------------------------------------------
+// TipView
+
+Status TipView::CheckUsable() const {
+  MINUET_RETURN_NOT_OK(View::CheckUsable());
+  return CheckLinearAccess(tree_);
+}
+
+// ---------------------------------------------------------------------------
+// SnapshotView
+
+SnapshotView::SnapshotView(Proxy* proxy, TreeHandle tree,
+                           btree::SnapshotRef snap,
+                           mvcc::SnapshotService* service, Lease lease)
+    : View(proxy, tree, btree::Target::Snapshot(snap)),
+      service_(service),
+      pinned_(lease == Lease::kAdopt && service != nullptr) {}
+
+SnapshotView::SnapshotView(SnapshotView&& other) noexcept
+    : View(other.proxy_, other.tree_, other.target_),
+      service_(other.service_),
+      pinned_(other.pinned_) {
+  other.pinned_ = false;
+}
+
+SnapshotView& SnapshotView::operator=(SnapshotView&& other) noexcept {
+  if (this != &other) {
+    if (pinned_) service_->Unpin(sid(), proxy_->lease_owner());
+    proxy_ = other.proxy_;
+    tree_ = other.tree_;
+    target_ = other.target_;
+    service_ = other.service_;
+    pinned_ = other.pinned_;
+    other.pinned_ = false;
+  }
+  return *this;
+}
+
+SnapshotView::~SnapshotView() {
+  // The lease was pinned under this proxy's identity (AcquirePinnedView);
+  // if the proxy was removed in the meantime, the bulk-release already
+  // dropped it and this Unpin no-ops (per-owner accounting).
+  if (pinned_) service_->Unpin(sid(), proxy_->lease_owner());
 }
 
 std::unique_ptr<Cursor> SnapshotView::NewCursor(const std::string& start,
                                                 Cursor::Options options) {
-  if (Status st = CheckUsable(); !st.ok()) {
-    return std::unique_ptr<Cursor>(new Cursor(std::move(st)));
+  // Fan-out cursors read exactly the acquisition snapshot, so only a
+  // serial refresh_lease cursor needs a lease of its own.
+  if (!options.refresh_lease || options.fanout > 1) {
+    return View::NewCursor(start, std::move(options));
   }
-  if (options.fanout > 1) {
-    // Reads exactly snap_ — the view's pin (if any) covers the one-shot
-    // fetch, which completes before the cursor outlives anything.
-    return NewFanoutCursor(proxy_, btree(), snap_, start, std::move(options));
-  }
-  // The cursor needs its own pin only when it may re-lease onto a sid the
-  // view does not hold; otherwise the view's pin covers it (a cursor must
-  // not outlive its view).
+  if (Status st = CheckUsable(); !st.ok()) return FailedCursor(std::move(st));
+  // The cursor pins its own lease only when the view holds one: it may
+  // re-lease onto a sid the view does not hold.
   auto lease = std::make_shared<CursorLease>(
-      btree(), service_, snap_, proxy_->lease_owner(),
-      pinned_ && options.refresh_lease);
-  const bool refresh = options.refresh_lease;
+      btree(), service_, ref(), proxy_->lease_owner(), pinned_);
   const Proxy* proxy = proxy_;
-  auto fetch = [lease, refresh, proxy](
+  auto fetch = [lease, proxy](
                    const std::string& from, size_t limit,
                    std::vector<std::pair<std::string, std::string>>* out,
                    std::string* resume) -> Status {
     MINUET_RETURN_NOT_OK(CheckProxyLive(proxy));
-    if (refresh && lease->BelowHorizon()) {
+    if (lease->BelowHorizon()) {
       // The GC horizon overtook this snapshot (possible only for unpinned
       // leases — pinned ones hold the horizon back): re-lease the newest
       // snapshot and continue the scan from the same key.
       MINUET_RETURN_NOT_OK(lease->Refresh());
     }
-    Status st =
-        lease->tree->SnapshotScanChunk(lease->snap, from, limit, out, resume);
+    Status st = lease->Scan(from, limit, out, resume);
     // Reactive backstop: the snapshot aged out between the check and the
     // chunk read. Under a snapshot storm the RE-LEASED snapshot can age
     // out again before its own chunk lands, so splice repeatedly
@@ -567,89 +500,27 @@ std::unique_ptr<Cursor> SnapshotView::NewCursor(const std::string& start,
     // InvalidArgument from other causes — e.g. a garbage SnapshotRef —
     // surfacing unmasked.)
     for (int splice = 0;
-         refresh && st.IsInvalidArgument() && lease->BelowHorizon() &&
-         splice < 64;
+         st.IsInvalidArgument() && lease->BelowHorizon() && splice < 64;
          splice++) {
       MINUET_RETURN_NOT_OK(lease->Refresh());
-      st = lease->tree->SnapshotScanChunk(lease->snap, from, limit, out,
-                                          resume);
+      st = lease->Scan(from, limit, out, resume);
     }
     return st;
   };
-  return std::unique_ptr<Cursor>(new Cursor(fetch, start, options));
+  return std::unique_ptr<Cursor>(new Cursor(std::move(fetch), start, options));
 }
 
 // ---------------------------------------------------------------------------
 // BranchView
 
-// Every BranchView operation validates the handle first (uniform with
-// TipView): a stale or foreign TreeHandle must fail loudly instead of
-// dereferencing a tree it does not name.
-Status BranchView::Get(const std::string& key, std::string* value) {
-  OpObserver obs(proxy_, ClientOp::kGet);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  return btree()->BranchGet(sid_, key, value);
-}
-
-Status BranchView::Put(const std::string& key, const std::string& value) {
-  OpObserver obs(proxy_, ClientOp::kPut);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  return btree()->BranchPut(sid_, key, value);
-}
-
-Status BranchView::Insert(const std::string& key, const std::string& value) {
-  OpObserver obs(proxy_, ClientOp::kInsert);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  return btree()->BranchInsert(sid_, key, value);
-}
-
-Status BranchView::Remove(const std::string& key) {
-  OpObserver obs(proxy_, ClientOp::kRemove);
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  return btree()->BranchRemove(sid_, key);
-}
-
-Status BranchView::MultiGet(const std::vector<std::string>& keys,
-                            std::vector<std::optional<std::string>>* values) {
-  OpObserver obs(proxy_, ClientOp::kMultiGet);
-  values->assign(keys.size(), std::nullopt);  // no partial answers, ever
-  MINUET_RETURN_NOT_OK(CheckUsable());
-  auto info = proxy_->BranchInfo(tree_, sid_);
-  if (!info.ok()) return info.status();
-  // One resolved root, one batched leaf round (§4.2 read rules).
-  Status st = btree()->SnapshotMultiGet(btree::SnapshotRef{sid_, info->root},
-                                        keys, values);
-  if (!st.ok()) values->assign(keys.size(), std::nullopt);
-  return st;
-}
-
-std::unique_ptr<Cursor> BranchView::NewCursor(const std::string& start,
-                                              Cursor::Options options) {
-  if (Status st = CheckUsable(); !st.ok()) {
-    return std::unique_ptr<Cursor>(new Cursor(std::move(st)));
-  }
+Result<btree::Target> BranchView::ReadTarget() {
   // Resolve the branch's current root once and read it with snapshot-mode
   // traversal (§4.2). Later COW activity from other versions cannot
-  // disturb the scan; in-place writes at this still-writable branch tip
-  // may (see the header note) — fork the branch for frozen semantics.
-  auto info = proxy_->BranchInfo(tree_, sid_);
-  if (!info.ok()) {
-    return std::unique_ptr<Cursor>(new Cursor(info.status()));
-  }
-  btree::BTree* tree = btree();
-  const btree::SnapshotRef snap{sid_, info->root};
-  if (options.fanout > 1) {
-    return NewFanoutCursor(proxy_, tree, snap, start, std::move(options));
-  }
-  const Proxy* proxy = proxy_;
-  auto fetch = [tree, snap, proxy](
-                   const std::string& from, size_t limit,
-                   std::vector<std::pair<std::string, std::string>>* out,
-                   std::string* resume) -> Status {
-    MINUET_RETURN_NOT_OK(CheckProxyLive(proxy));
-    return tree->SnapshotScanChunk(snap, from, limit, out, resume);
-  };
-  return std::unique_ptr<Cursor>(new Cursor(fetch, start, options));
+  // disturb the read; in-place writes at this still-writable branch tip
+  // may (see the header note).
+  auto info = proxy_->BranchInfo(tree_, sid());
+  if (!info.ok()) return info.status();
+  return btree::Target::Snapshot(btree::SnapshotRef{sid(), info->root});
 }
 
 }  // namespace minuet

@@ -103,9 +103,7 @@ class Cursor {
 
  private:
   friend class View;
-  friend class TipView;
   friend class SnapshotView;
-  friend class BranchView;
 
   // Fetch pairs from `start` (inclusive, at most `limit`) into `out`;
   // set `resume` to where the next fetch begins, empty when exhausted.
@@ -143,7 +141,9 @@ enum class ViewKind { kTip, kSnapshot, kBranch };
 
 // The uniform interface. Views are lightweight values bound to one Proxy;
 // they must not outlive their Proxy (or Cluster), and a Cursor must not
-// outlive the View that created it.
+// outlive the View that created it. Every operation is implemented once,
+// here, over the view's btree::Target; the subclasses only add what
+// differs between regimes.
 class View {
  public:
   virtual ~View() = default;
@@ -151,49 +151,51 @@ class View {
   virtual ViewKind kind() const = 0;
   virtual bool writable() const { return false; }
 
-  virtual Status Get(const std::string& key, std::string* value) = 0;
-  virtual Status Put(const std::string& key, const std::string& value);
+  Status Get(const std::string& key, std::string* value);
+  // Writes through a read-only view (a snapshot, or a branch that has been
+  // forked) fail with Status::ReadOnly.
+  Status Put(const std::string& key, const std::string& value);
   // Strict insert: AlreadyExists when the key is present.
-  virtual Status Insert(const std::string& key, const std::string& value);
-  virtual Status Remove(const std::string& key);
+  Status Insert(const std::string& key, const std::string& value);
+  Status Remove(const std::string& key);
 
-  // Point-read a set of keys; `(*values)[i]` is nullopt when `keys[i]` is
-  // absent. TipView performs all reads in ONE transaction (an atomic,
-  // strictly serializable multi-point read); SnapshotView is consistent by
-  // construction; BranchView reads one resolved root (later in-place
-  // writes to a still-writable branch may interleave — fork for frozen
-  // reads).
-  virtual Status MultiGet(const std::vector<std::string>& keys,
-                          std::vector<std::optional<std::string>>* values);
+  // Point-read a set of keys with one batched leaf round;
+  // `(*values)[i]` is nullopt when `keys[i]` is absent, and a failed call
+  // leaves only nullopt answers. TipView performs all reads in ONE
+  // transaction (an atomic, strictly serializable multi-point read);
+  // SnapshotView is consistent by construction; BranchView reads one
+  // resolved root (later in-place writes to a still-writable branch may
+  // interleave — fork for frozen reads).
+  Status MultiGet(const std::vector<std::string>& keys,
+                  std::vector<std::optional<std::string>>* values);
 
   virtual std::unique_ptr<Cursor> NewCursor(const std::string& start = "",
-                                            Cursor::Options options = {}) = 0;
+                                            Cursor::Options options = {});
 
-  // Convenience: scan of up to `limit` pairs from `start` (cursor-driven
-  // by default; TipView overrides with one strictly serializable txn).
-  virtual Status Scan(const std::string& start, size_t limit,
-                      std::vector<std::pair<std::string, std::string>>* out);
+  // Convenience: scan of up to `limit` pairs from `start`. Cursor-driven
+  // for snapshots and branches; a TipView scan runs as ONE strictly
+  // serializable transaction (every visited leaf joins the read set).
+  Status Scan(const std::string& start, size_t limit,
+              std::vector<std::pair<std::string, std::string>>* out);
 
   const TreeHandle& tree() const { return tree_; }
 
  protected:
-  View(Proxy* proxy, TreeHandle tree) : proxy_(proxy), tree_(tree) {}
+  View(Proxy* proxy, TreeHandle tree, btree::Target target)
+      : proxy_(proxy), tree_(tree), target_(target) {}
   btree::BTree* btree() const;
   // InvalidArgument when the handle does not name a tree of this cluster,
   // or when the proxy was removed from it (Cluster::RemoveProxy).
-  Status CheckUsable() const;
-  // Shared by the snapshot-mode views: a cursor whose single fetch runs
-  // the whole parallel fan-out scan of `snap` and then streams from the
-  // stitched buffer. `proxy` is re-checked per fetch so a cursor
-  // outliving its proxy's removal fails cleanly instead of scanning on.
-  static std::unique_ptr<Cursor> NewFanoutCursor(const Proxy* proxy,
-                                                 btree::BTree* tree,
-                                                 const btree::SnapshotRef& snap,
-                                                 const std::string& start,
-                                                 Cursor::Options options);
+  virtual Status CheckUsable() const;
+  // The target MultiGet and cursors read. A BranchView resolves its root
+  // once and reads it under §4.2 rules; the other views read target_.
+  virtual Result<btree::Target> ReadTarget() { return target_; }
+  // A cursor that never fetches and reports `st`.
+  static std::unique_ptr<Cursor> FailedCursor(Status st);
 
   Proxy* proxy_;
   TreeHandle tree_;
+  btree::Target target_;
 };
 
 // Strictly serializable operations against the live tip. Note on cursors:
@@ -206,22 +208,14 @@ class TipView : public View {
   ViewKind kind() const override { return ViewKind::kTip; }
   bool writable() const override { return true; }
 
-  Status Get(const std::string& key, std::string* value) override;
-  Status Put(const std::string& key, const std::string& value) override;
-  Status Insert(const std::string& key, const std::string& value) override;
-  Status Remove(const std::string& key) override;
-  Status MultiGet(const std::vector<std::string>& keys,
-                  std::vector<std::optional<std::string>>* values) override;
-  std::unique_ptr<Cursor> NewCursor(const std::string& start = "",
-                                    Cursor::Options options = {}) override;
-  // Unlike the cursor (piecewise), a bounded tip Scan runs as ONE strictly
-  // serializable transaction: every visited leaf joins the read set.
-  Status Scan(const std::string& start, size_t limit,
-              std::vector<std::pair<std::string, std::string>>* out) override;
+ protected:
+  // Branching trees have no linear tip (CheckLinearAccess).
+  Status CheckUsable() const override;
 
  private:
   friend class Proxy;
-  TipView(Proxy* proxy, TreeHandle tree) : View(proxy, tree) {}
+  TipView(Proxy* proxy, TreeHandle tree)
+      : View(proxy, tree, btree::Target::Tip()) {}
 };
 
 // A frozen, consistent snapshot (§4.2 reads: no validation, fence-key and
@@ -236,14 +230,11 @@ class SnapshotView : public View {
   ~SnapshotView() override;
 
   ViewKind kind() const override { return ViewKind::kSnapshot; }
-  uint64_t sid() const { return snap_.sid; }
-  const btree::SnapshotRef& ref() const { return snap_; }
+  uint64_t sid() const { return target_.snap.sid; }
+  const btree::SnapshotRef& ref() const { return target_.snap; }
 
-  Status Get(const std::string& key, std::string* value) override;
-  // Consistent by construction, and batched: all keys' leaves are fetched
-  // in one minitransaction round (BTree::SnapshotMultiGet).
-  Status MultiGet(const std::vector<std::string>& keys,
-                  std::vector<std::optional<std::string>>* values) override;
+  // With Cursor::Options::refresh_lease, the cursor re-leases the newest
+  // snapshot when the GC horizon overtakes its own (§4.4).
   std::unique_ptr<Cursor> NewCursor(const std::string& start = "",
                                     Cursor::Options options = {}) override;
 
@@ -258,7 +249,6 @@ class SnapshotView : public View {
   SnapshotView(Proxy* proxy, TreeHandle tree, btree::SnapshotRef snap,
                mvcc::SnapshotService* service, Lease lease);
 
-  btree::SnapshotRef snap_;
   mvcc::SnapshotService* service_ = nullptr;
   bool pinned_ = false;
 };
@@ -269,35 +259,27 @@ class SnapshotView : public View {
 // observed when the view was created; if the branch is forked afterwards,
 // writes through a stale view still fail ReadOnly (the tree enforces the
 // catalog, not the cached flag).
+//
+// MultiGet and cursors read the branch's root as resolved once, at call
+// (or NewCursor) time. Structural changes from OTHER versions
+// (copy-on-write of later snapshots) never disturb them, but the branch's
+// own tip writes mutate nodes in place while it stays writable, so they
+// MAY become visible to not-yet-read parts of a scan. For a truly frozen
+// scan, fork the branch and scan the (now read-only) parent.
 class BranchView : public View {
  public:
   ViewKind kind() const override { return ViewKind::kBranch; }
   bool writable() const override { return writable_; }
-  uint64_t sid() const { return sid_; }
+  uint64_t sid() const { return target_.snap.sid; }
 
-  Status Get(const std::string& key, std::string* value) override;
-  Status Put(const std::string& key, const std::string& value) override;
-  Status Insert(const std::string& key, const std::string& value) override;
-  Status Remove(const std::string& key) override;
-  // All keys are read against one resolved branch root (same caveat as
-  // NewCursor below for still-writable branches).
-  Status MultiGet(const std::vector<std::string>& keys,
-                  std::vector<std::optional<std::string>>* values) override;
-  // The cursor scans the branch's root as of NewCursor time. Structural
-  // changes from OTHER versions (copy-on-write of later snapshots) never
-  // disturb it, but the branch's own tip writes mutate nodes in place
-  // while it stays writable, so they MAY become visible to not-yet-read
-  // parts of the scan. For a truly frozen scan, fork the branch and scan
-  // the (now read-only) parent.
-  std::unique_ptr<Cursor> NewCursor(const std::string& start = "",
-                                    Cursor::Options options = {}) override;
+ protected:
+  Result<btree::Target> ReadTarget() override;
 
  private:
   friend class Proxy;
   BranchView(Proxy* proxy, TreeHandle tree, uint64_t sid, bool writable)
-      : View(proxy, tree), sid_(sid), writable_(writable) {}
+      : View(proxy, tree, btree::Target::Branch(sid)), writable_(writable) {}
 
-  uint64_t sid_ = 0;
   bool writable_ = false;
 };
 

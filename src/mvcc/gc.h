@@ -70,7 +70,7 @@ class GarbageCollector {
   btree::BTree* tree_;
   btree::RetireList retired_;
   // Counter (not a plain integer): the metrics registry samples it from
-  // whatever thread runs DumpStats while a GC pass is incrementing it.
+  // whatever thread runs DumpStatsJson while a GC pass is incrementing it.
   obs::Counter total_freed_;
 };
 

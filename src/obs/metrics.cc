@@ -170,38 +170,6 @@ std::vector<Sample> MetricsRegistry::Snapshot() const {
   return out;
 }
 
-std::string MetricsRegistry::ToText() const {
-  std::string out;
-  std::string last_subsystem;
-  for (const Sample& s : Snapshot()) {
-    if (s.subsystem != last_subsystem) {
-      out += "[";
-      out += s.subsystem;
-      out += "]\n";
-      last_subsystem = s.subsystem;
-    }
-    out += "  ";
-    out += s.name;
-    out += " = ";
-    if (s.kind == Sample::Kind::kHistogram) {
-      out += "count=";
-      AppendNumber(&out, static_cast<int64_t>(s.count));
-      out += " mean=";
-      AppendDouble(&out, s.mean);
-      out += " p50=";
-      AppendDouble(&out, s.p50);
-      out += " p99=";
-      AppendDouble(&out, s.p99);
-      out += " max=";
-      AppendDouble(&out, s.max);
-    } else {
-      AppendNumber(&out, s.value);
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 std::string MetricsRegistry::ToJson() const {
   std::string out = "{";
   std::string last_subsystem;

@@ -6,7 +6,7 @@
 // that there is no "metrics off" branch on hot paths. The registry is pure
 // bookkeeping on top: Cluster::BindMetrics LINKS component-owned metrics
 // (and callback gauges over existing state) under "subsystem.name" keys, and
-// Snapshot()/ToText()/ToJson() render the whole inventory. A component used
+// Snapshot()/ToJson() render the whole inventory. A component used
 // outside a cluster (unit tests constructing a Fabric or LockTable directly)
 // simply never registers — its counters still count, nothing dumps them.
 //
@@ -144,9 +144,8 @@ class MetricsRegistry {
   // shape tests rely on.
   std::vector<Sample> Snapshot() const;
 
-  // Render the registry section alone. Cluster::DumpStats embeds these
+  // Render the registry section alone: Cluster::DumpStatsJson embeds it
   // under its per-memnode/per-proxy/per-tree rollups.
-  std::string ToText() const;
   // Stable JSON: {"subsystem": {"name": value, ...}, ...} with keys sorted;
   // histograms render as {"count":..,"mean":..,"p50":..,"p99":..,"max":..}.
   std::string ToJson() const;

@@ -44,7 +44,7 @@ class Coordinator {
   // Protocol-outcome counters, owned here and LINKED into the cluster's
   // MetricsRegistry at bind time (obs/metrics.h). The txn_* members are the
   // shared accounting for every optimistic retry loop above the coordinator
-  // (txn::RunTransaction, BTree::RunOp/RunSnapshotOp) — the loops already
+  // (txn::RunTransaction, BTree::Retry) — the loops already
   // hold a coordinator pointer, so per-attempt abort taxonomy lands here
   // without extra plumbing.
   struct Metrics {

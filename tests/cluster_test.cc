@@ -151,8 +151,10 @@ TEST(ClusterTest, MultiTreeTransactionAcrossIndexes) {
   Proxy& p = cluster.proxy(0);
 
   Status st = p.Transaction([&](txn::DynamicTxn& txn) -> Status {
-    MINUET_RETURN_NOT_OK(p.tree(*t1)->PutInTxn(txn, "user", "alice"));
-    return p.tree(*t2)->PutInTxn(txn, "email", "alice@example.com");
+    MINUET_RETURN_NOT_OK(
+        p.tree(*t1)->PutInTxn(txn, btree::Target::Tip(), "user", "alice"));
+    return p.tree(*t2)->PutInTxn(txn, btree::Target::Tip(), "email",
+                                 "alice@example.com");
   });
   ASSERT_TRUE(st.ok()) << st.ToString();
 

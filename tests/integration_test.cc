@@ -132,13 +132,17 @@ TEST(IntegrationTest, SnapshotScanSumInvariantUnderTransfers) {
       if (from == to) continue;
       Status st = p.Transaction([&](txn::DynamicTxn& txn) -> Status {
         std::string fv, tv;
-        MINUET_RETURN_NOT_OK(p.tree(*tree)->GetInTxn(txn, from, &fv));
-        MINUET_RETURN_NOT_OK(p.tree(*tree)->GetInTxn(txn, to, &tv));
+        MINUET_RETURN_NOT_OK(
+            p.tree(*tree)->GetInTxn(txn, btree::Target::Tip(), from, &fv));
+        MINUET_RETURN_NOT_OK(
+            p.tree(*tree)->GetInTxn(txn, btree::Target::Tip(), to, &tv));
         const uint64_t f = DecodeValue(fv), t = DecodeValue(tv);
         if (f == 0) return Status::OK();
         MINUET_RETURN_NOT_OK(
-            p.tree(*tree)->PutInTxn(txn, from, EncodeValue(f - 1)));
-        return p.tree(*tree)->PutInTxn(txn, to, EncodeValue(t + 1));
+            p.tree(*tree)->PutInTxn(txn, btree::Target::Tip(), from,
+                                    EncodeValue(f - 1)));
+        return p.tree(*tree)->PutInTxn(txn, btree::Target::Tip(), to,
+                                       EncodeValue(t + 1));
       });
       if (!st.ok()) {
         violations++;

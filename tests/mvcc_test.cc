@@ -18,7 +18,9 @@ namespace {
 
 using btree::BTree;
 using btree::SnapshotRef;
+using btree::Target;
 using btree::TreeOptions;
+using minuet::testing::ScanAll;
 using minuet::testing::TestCluster;
 
 class MvccTest : public ::testing::Test {
@@ -51,62 +53,66 @@ class MvccTest : public ::testing::Test {
 };
 
 TEST_F(MvccTest, SnapshotFreezesState) {
-  ASSERT_TRUE(tree().Put("k", "before").ok());
+  ASSERT_TRUE(tree().Put(Target::Tip(), "k", "before").ok());
   SnapshotService scs = MakeService();
   auto snap = Snap(scs);
   ASSERT_TRUE(snap.ok());
 
-  ASSERT_TRUE(tree().Put("k", "after").ok());
+  ASSERT_TRUE(tree().Put(Target::Tip(), "k", "after").ok());
 
   std::string value;
-  ASSERT_TRUE(tree().SnapshotGet(*snap, "k", &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Snapshot(*snap), "k", &value).ok());
   EXPECT_EQ(value, "before");
-  ASSERT_TRUE(tree().Get("k", &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Tip(), "k", &value).ok());
   EXPECT_EQ(value, "after");
 }
 
 TEST_F(MvccTest, SnapshotDoesNotSeeLaterInserts) {
-  ASSERT_TRUE(tree().Put("existing", "v").ok());
+  ASSERT_TRUE(tree().Put(Target::Tip(), "existing", "v").ok());
   SnapshotService scs = MakeService();
   auto snap = Snap(scs);
   ASSERT_TRUE(snap.ok());
-  ASSERT_TRUE(tree().Put("later", "v").ok());
+  ASSERT_TRUE(tree().Put(Target::Tip(), "later", "v").ok());
 
   std::string value;
-  EXPECT_TRUE(tree().SnapshotGet(*snap, "later", &value).IsNotFound());
-  EXPECT_TRUE(tree().SnapshotGet(*snap, "existing", &value).ok());
+  EXPECT_TRUE(
+      tree().Get(Target::Snapshot(*snap), "later", &value).IsNotFound());
+  EXPECT_TRUE(tree().Get(Target::Snapshot(*snap), "existing", &value).ok());
 }
 
 TEST_F(MvccTest, SnapshotSurvivesLaterRemoves) {
-  ASSERT_TRUE(tree().Put("doomed", "v").ok());
+  ASSERT_TRUE(tree().Put(Target::Tip(), "doomed", "v").ok());
   SnapshotService scs = MakeService();
   auto snap = Snap(scs);
   ASSERT_TRUE(snap.ok());
-  ASSERT_TRUE(tree().Remove("doomed").ok());
+  ASSERT_TRUE(tree().Remove(Target::Tip(), "doomed").ok());
 
   std::string value;
-  ASSERT_TRUE(tree().SnapshotGet(*snap, "doomed", &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Snapshot(*snap), "doomed", &value).ok());
   EXPECT_EQ(value, "v");
-  EXPECT_TRUE(tree().Get("doomed", &value).IsNotFound());
+  EXPECT_TRUE(tree().Get(Target::Tip(), "doomed", &value).IsNotFound());
 }
 
 TEST_F(MvccTest, ManySnapshotsEachSeeTheirOwnEpoch) {
   SnapshotService scs = MakeService(0, 1000);
   std::vector<SnapshotRef> snaps;
   for (int epoch = 0; epoch < 8; epoch++) {
-    ASSERT_TRUE(tree().Put("epoch", std::to_string(epoch)).ok());
-    ASSERT_TRUE(tree().Put(EncodeUserKey(epoch), EncodeValue(epoch)).ok());
+    ASSERT_TRUE(tree().Put(Target::Tip(), "epoch", std::to_string(epoch)).ok());
+    ASSERT_TRUE(tree().Put(Target::Tip(), EncodeUserKey(epoch),
+                           EncodeValue(epoch)).ok());
     auto snap = Snap(scs);
     ASSERT_TRUE(snap.ok());
     snaps.push_back(*snap);
   }
   for (int epoch = 0; epoch < 8; epoch++) {
     std::string value;
-    ASSERT_TRUE(tree().SnapshotGet(snaps[epoch], "epoch", &value).ok());
+    ASSERT_TRUE(
+        tree().Get(Target::Snapshot(snaps[epoch]), "epoch", &value).ok());
     EXPECT_EQ(value, std::to_string(epoch));
     // Keys inserted after this snapshot are invisible to it.
     Status st =
-        tree().SnapshotGet(snaps[epoch], EncodeUserKey(epoch + 1), &value);
+        tree().Get(Target::Snapshot(snaps[epoch]), EncodeUserKey(epoch + 1),
+                   &value);
     EXPECT_TRUE(st.IsNotFound()) << "epoch " << epoch;
   }
 }
@@ -115,23 +121,27 @@ TEST_F(MvccTest, SnapshotConsistentAcrossSplits) {
   // The snapshot must stay intact even as the tip's structure diverges
   // through hundreds of splits.
   for (int i = 0; i < 200; i++) {
-    ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(i)).ok());
+    ASSERT_TRUE(
+        tree().Put(Target::Tip(), EncodeUserKey(i), EncodeValue(i)).ok());
   }
   SnapshotService scs = MakeService();
   auto snap = Snap(scs);
   ASSERT_TRUE(snap.ok());
 
   for (int i = 200; i < 1500; i++) {
-    ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(1000000 + i)).ok());
+    ASSERT_TRUE(tree().Put(Target::Tip(), EncodeUserKey(i),
+                           EncodeValue(1000000 + i)).ok());
   }
   for (int i = 0; i < 200; i++) {
-    ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(2000000 + i)).ok());
+    ASSERT_TRUE(tree().Put(Target::Tip(), EncodeUserKey(i),
+                           EncodeValue(2000000 + i)).ok());
   }
 
   // Snapshot: exactly the original 200 keys with original values.
   std::vector<std::pair<std::string, std::string>> out;
-  ASSERT_TRUE(
-      tree().SnapshotScan(*snap, EncodeUserKey(0), 10000, &out).ok());
+  ASSERT_TRUE(ScanAll(tree(), Target::Snapshot(*snap), EncodeUserKey(0),
+                      10000, &out)
+                  .ok());
   ASSERT_EQ(out.size(), 200u);
   for (int i = 0; i < 200; i++) {
     EXPECT_EQ(out[i].first, EncodeUserKey(i));
@@ -142,7 +152,8 @@ TEST_F(MvccTest, SnapshotConsistentAcrossSplits) {
 TEST_F(MvccTest, SnapshotScanUnaffectedByConcurrentUpdates) {
   constexpr int kKeys = 400;
   for (int i = 0; i < kKeys; i++) {
-    ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(i)).ok());
+    ASSERT_TRUE(
+        tree().Put(Target::Tip(), EncodeUserKey(i), EncodeValue(i)).ok());
   }
   SnapshotService scs = MakeService();
   auto snap = Snap(scs);
@@ -152,14 +163,15 @@ TEST_F(MvccTest, SnapshotScanUnaffectedByConcurrentUpdates) {
   std::thread updater([&] {
     Rng rng(3);
     while (!stop) {
-      IgnoreStatus(tree(1).Put(EncodeUserKey(rng.Uniform(kKeys)),
+      IgnoreStatus(tree(1).Put(Target::Tip(), EncodeUserKey(rng.Uniform(kKeys)),
                                EncodeValue(rng.Next())));
     }
   });
   for (int round = 0; round < 10; round++) {
     std::vector<std::pair<std::string, std::string>> out;
-    ASSERT_TRUE(
-        tree().SnapshotScan(*snap, EncodeUserKey(0), kKeys, &out).ok());
+    ASSERT_TRUE(ScanAll(tree(), Target::Snapshot(*snap), EncodeUserKey(0),
+                        kKeys, &out)
+                    .ok());
     ASSERT_EQ(out.size(), static_cast<size_t>(kKeys));
     for (int i = 0; i < kKeys; i++) {
       ASSERT_EQ(DecodeValue(out[i].second), static_cast<uint64_t>(i))
@@ -176,40 +188,47 @@ TEST_F(MvccTest, TipScanTransactionAbortsWhenScannedLeafChanges) {
   // them aborts the scan. Reproduce the interleaving deterministically.
   constexpr int kKeys = 300;
   for (int i = 0; i < kKeys; i++) {
-    ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(i)).ok());
+    ASSERT_TRUE(
+        tree().Put(Target::Tip(), EncodeUserKey(i), EncodeValue(i)).ok());
   }
   txn::DynamicTxn scan_txn(cluster_->coord(), cluster_->cache(0));
   std::string value;
   // The "scan" reads its first leaf...
-  ASSERT_TRUE(tree().GetInTxn(scan_txn, EncodeUserKey(0), &value).ok());
+  ASSERT_TRUE(
+      tree().GetInTxn(scan_txn, Target::Tip(), EncodeUserKey(0), &value).ok());
   // ...a concurrent update hits that leaf...
-  ASSERT_TRUE(tree(1).Put(EncodeUserKey(0), EncodeValue(999)).ok());
+  ASSERT_TRUE(
+      tree(1).Put(Target::Tip(), EncodeUserKey(0), EncodeValue(999)).ok());
   // ...and the scan's next leaf fetch (piggy-backing validation of the
   // read set) must abort the whole scan transaction.
-  Status st = tree().GetInTxn(scan_txn, EncodeUserKey(250), &value);
+  Status st =
+      tree().GetInTxn(scan_txn, Target::Tip(), EncodeUserKey(250), &value);
   EXPECT_TRUE(st.IsAborted()) << st.ToString();
   EXPECT_TRUE(scan_txn.Commit().IsAborted());
 }
 
 TEST_F(MvccTest, CopyOnWriteCopiesPathOnce) {
   for (int i = 0; i < 300; i++) {
-    ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(i)).ok());
+    ASSERT_TRUE(
+        tree().Put(Target::Tip(), EncodeUserKey(i), EncodeValue(i)).ok());
   }
   SnapshotService scs = MakeService();
   ASSERT_TRUE(Snap(scs).ok());
 
   const uint64_t before = tree().stats().cow_copies.Value();
-  ASSERT_TRUE(tree().Put(EncodeUserKey(10), EncodeValue(999)).ok());
+  ASSERT_TRUE(
+      tree().Put(Target::Tip(), EncodeUserKey(10), EncodeValue(999)).ok());
   const uint64_t first = tree().stats().cow_copies.Value();
   EXPECT_GT(first, before);  // first write after snapshot copies the path
 
-  ASSERT_TRUE(tree().Put(EncodeUserKey(10), EncodeValue(1000)).ok());
+  ASSERT_TRUE(
+      tree().Put(Target::Tip(), EncodeUserKey(10), EncodeValue(1000)).ok());
   const uint64_t second = tree().stats().cow_copies.Value();
   EXPECT_EQ(second, first);  // same leaf again: already at the tip snapshot
 }
 
 TEST_F(MvccTest, BorrowingOnlyWhenProvenSafe) {
-  ASSERT_TRUE(tree().Put("k", "v").ok());
+  ASSERT_TRUE(tree().Put(Target::Tip(), "k", "v").ok());
   SnapshotService scs = MakeService();
   // Sequential requests can never borrow (the counter advances by exactly
   // one per call).
@@ -219,7 +238,7 @@ TEST_F(MvccTest, BorrowingOnlyWhenProvenSafe) {
 }
 
 TEST_F(MvccTest, ConcurrentSnapshotRequestsBorrow) {
-  ASSERT_TRUE(tree().Put("k", "v").ok());
+  ASSERT_TRUE(tree().Put(Target::Tip(), "k", "v").ok());
   SnapshotService scs = MakeService();
   constexpr int kThreads = 8, kPer = 25;
   std::atomic<int> failures{0};
@@ -240,7 +259,7 @@ TEST_F(MvccTest, ConcurrentSnapshotRequestsBorrow) {
 }
 
 TEST_F(MvccTest, BorrowedSnapshotIsUsable) {
-  ASSERT_TRUE(tree().Put("k", "v").ok());
+  ASSERT_TRUE(tree().Put(Target::Tip(), "k", "v").ok());
   SnapshotService scs = MakeService();
   std::atomic<int> bad{0};
   std::vector<std::thread> threads;
@@ -253,7 +272,8 @@ TEST_F(MvccTest, BorrowedSnapshotIsUsable) {
           continue;
         }
         std::string value;
-        if (!tree().SnapshotGet(*snap, "k", &value).ok() || value != "v") {
+        if (!tree().Get(Target::Snapshot(*snap), "k", &value).ok() ||
+            value != "v") {
           bad++;
         }
       }
@@ -264,7 +284,7 @@ TEST_F(MvccTest, BorrowedSnapshotIsUsable) {
 }
 
 TEST_F(MvccTest, StalePolicyReusesWithinInterval) {
-  ASSERT_TRUE(tree().Put("k", "v").ok());
+  ASSERT_TRUE(tree().Put(Target::Tip(), "k", "v").ok());
   SnapshotService scs = MakeService(/*k=*/30.0);
   fake_now_ = 0;
   auto s1 = scs.AcquireForScan();
@@ -285,21 +305,21 @@ TEST_F(MvccTest, StalePolicyReusesWithinInterval) {
 
 TEST_F(MvccTest, StaleReuseSeesOlderData) {
   SnapshotService scs = MakeService(/*k=*/30.0);
-  ASSERT_TRUE(tree().Put("k", "old").ok());
+  ASSERT_TRUE(tree().Put(Target::Tip(), "k", "old").ok());
   fake_now_ = 0;
   auto s1 = scs.AcquireForScan();
   ASSERT_TRUE(s1.ok());
-  ASSERT_TRUE(tree().Put("k", "new").ok());
+  ASSERT_TRUE(tree().Put(Target::Tip(), "k", "new").ok());
   fake_now_ = 5;
   auto s2 = scs.AcquireForScan();
   ASSERT_TRUE(s2.ok());
   std::string value;
-  ASSERT_TRUE(tree().SnapshotGet(*s2, "k", &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Snapshot(*s2), "k", &value).ok());
   EXPECT_EQ(value, "old");  // staleness is the price of k > 0
 }
 
 TEST_F(MvccTest, LowestRetainedTrailsNewest) {
-  ASSERT_TRUE(tree().Put("k", "v").ok());
+  ASSERT_TRUE(tree().Put(Target::Tip(), "k", "v").ok());
   SnapshotService scs = MakeService(0, /*retain=*/4);
   EXPECT_EQ(scs.LowestRetained(), 0u);
   for (int i = 0; i < 10; i++) ASSERT_TRUE(Snap(scs).ok());
@@ -312,14 +332,16 @@ TEST_F(MvccTest, GarbageCollectionFreesRetiredNodesOnly) {
   // retired node versions.
   constexpr int kKeys = 120;
   for (int i = 0; i < kKeys; i++) {
-    ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(i)).ok());
+    ASSERT_TRUE(
+        tree().Put(Target::Tip(), EncodeUserKey(i), EncodeValue(i)).ok());
   }
   SnapshotService scs = MakeService(0, /*retain=*/2);
   for (int epoch = 0; epoch < 6; epoch++) {
     ASSERT_TRUE(Snap(scs).ok());
     for (int i = 0; i < kKeys; i++) {
       ASSERT_TRUE(
-          tree().Put(EncodeUserKey(i), EncodeValue(epoch * 1000 + i)).ok());
+          tree().Put(Target::Tip(), EncodeUserKey(i),
+                     EncodeValue(epoch * 1000 + i)).ok());
     }
   }
   auto latest_snap = scs.latest();
@@ -332,10 +354,11 @@ TEST_F(MvccTest, GarbageCollectionFreesRetiredNodesOnly) {
   // The tip and every retained snapshot still read correctly.
   std::string value;
   for (int i = 0; i < kKeys; i += 17) {
-    ASSERT_TRUE(tree().Get(EncodeUserKey(i), &value).ok());
+    ASSERT_TRUE(tree().Get(Target::Tip(), EncodeUserKey(i), &value).ok());
     EXPECT_EQ(DecodeValue(value), static_cast<uint64_t>(5000 + i));
     ASSERT_TRUE(
-        tree().SnapshotGet(latest_snap, EncodeUserKey(i), &value).ok());
+        tree().Get(Target::Snapshot(latest_snap), EncodeUserKey(i),
+                   &value).ok());
   }
 
   // A second pass over the same horizon finds nothing new.
@@ -347,13 +370,15 @@ TEST_F(MvccTest, GarbageCollectionFreesRetiredNodesOnly) {
 TEST_F(MvccTest, GcFreedSlabsAreRecycledByAllocator) {
   constexpr int kKeys = 100;
   for (int i = 0; i < kKeys; i++) {
-    ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(i)).ok());
+    ASSERT_TRUE(
+        tree().Put(Target::Tip(), EncodeUserKey(i), EncodeValue(i)).ok());
   }
   SnapshotService scs = MakeService(0, /*retain=*/0);
   for (int epoch = 0; epoch < 4; epoch++) {
     ASSERT_TRUE(Snap(scs).ok());
     for (int i = 0; i < kKeys; i++) {
-      ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(i + epoch)).ok());
+      ASSERT_TRUE(tree().Put(Target::Tip(), EncodeUserKey(i),
+                             EncodeValue(i + epoch)).ok());
     }
   }
   GarbageCollector gc(trees_[0].get());
@@ -367,18 +392,19 @@ TEST_F(MvccTest, GcFreedSlabsAreRecycledByAllocator) {
     ASSERT_TRUE(Snap(scs).ok());
     for (int i = 0; i < kKeys; i++) {
       ASSERT_TRUE(
-          tree().Put(EncodeUserKey(i), EncodeValue(i + 100 + epoch)).ok());
+          tree().Put(Target::Tip(), EncodeUserKey(i),
+                     EncodeValue(i + 100 + epoch)).ok());
     }
   }
   std::string value;
   for (int i = 0; i < kKeys; i++) {
-    ASSERT_TRUE(tree().Get(EncodeUserKey(i), &value).ok());
+    ASSERT_TRUE(tree().Get(Target::Tip(), EncodeUserKey(i), &value).ok());
     EXPECT_EQ(DecodeValue(value), static_cast<uint64_t>(i + 102));
   }
 }
 
 TEST_F(MvccTest, SnapshotCreationBumpsTipForWriters) {
-  ASSERT_TRUE(tree().Put("k", "v0").ok());
+  ASSERT_TRUE(tree().Put(Target::Tip(), "k", "v0").ok());
   SnapshotService scs = MakeService();
   auto s1 = Snap(scs);
   ASSERT_TRUE(s1.ok());
@@ -387,16 +413,17 @@ TEST_F(MvccTest, SnapshotCreationBumpsTipForWriters) {
   ASSERT_TRUE(s2.ok());
   EXPECT_EQ(s2->sid, 1u);
   // Writers continue against the new tip (sid 2) transparently.
-  ASSERT_TRUE(tree().Put("k", "v2").ok());
+  ASSERT_TRUE(tree().Put(Target::Tip(), "k", "v2").ok());
   std::string value;
-  ASSERT_TRUE(tree().Get("k", &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Tip(), "k", &value).ok());
   EXPECT_EQ(value, "v2");
 }
 
 TEST_F(MvccTest, UpdatesDuringSnapshotStormStayCorrect) {
   constexpr int kKeys = 60;
   for (int i = 0; i < kKeys; i++) {
-    ASSERT_TRUE(tree().Put(EncodeUserKey(i), EncodeValue(0)).ok());
+    ASSERT_TRUE(
+        tree().Put(Target::Tip(), EncodeUserKey(i), EncodeValue(0)).ok());
   }
   SnapshotService scs = MakeService();
   std::atomic<bool> stop{false};
@@ -406,14 +433,15 @@ TEST_F(MvccTest, UpdatesDuringSnapshotStormStayCorrect) {
   for (int round = 1; round <= 20; round++) {
     for (int i = 0; i < kKeys; i++) {
       ASSERT_TRUE(
-          tree(1).Put(EncodeUserKey(i), EncodeValue(round)).ok());
+          tree(1).Put(Target::Tip(), EncodeUserKey(i),
+                      EncodeValue(round)).ok());
     }
   }
   stop = true;
   snapshotter.join();
   std::string value;
   for (int i = 0; i < kKeys; i++) {
-    ASSERT_TRUE(tree().Get(EncodeUserKey(i), &value).ok());
+    ASSERT_TRUE(tree().Get(Target::Tip(), EncodeUserKey(i), &value).ok());
     EXPECT_EQ(DecodeValue(value), 20u);
   }
 }

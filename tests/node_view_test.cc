@@ -304,24 +304,25 @@ TEST(ZeroDecodeTest, WarmGetAndMultiGetDecodeNoNodes) {
   std::vector<std::string> keys;
   for (uint64_t i = 0; i < 200; i++) {
     keys.push_back(EncodeUserKey(i));
-    ASSERT_TRUE(tree.Put(keys.back(), "v" + std::to_string(i)).ok());
+    ASSERT_TRUE(
+        tree.Put(Target::Tip(), keys.back(), "v" + std::to_string(i)).ok());
   }
 
   // Warm the proxy cache for every path once.
   std::string value;
   for (const std::string& key : keys) {
-    ASSERT_TRUE(tree.Get(key, &value).ok());
+    ASSERT_TRUE(tree.Get(Target::Tip(), key, &value).ok());
   }
 
   const uint64_t before = Node::DecodeCalls();
   for (const std::string& key : keys) {
-    ASSERT_TRUE(tree.Get(key, &value).ok());
+    ASSERT_TRUE(tree.Get(Target::Tip(), key, &value).ok());
   }
   std::vector<std::optional<std::string>> values;
   ASSERT_TRUE(txn::RunTransaction(cluster.coord(), cluster.cache(0), {}, 4,
                                   [&](txn::DynamicTxn& t) {
-                                    return tree.MultiGetInTxn(t, keys,
-                                                              &values);
+                                    return tree.MultiGetInTxn(
+                                        t, Target::Tip(), keys, &values);
                                   })
                   .ok());
   for (const auto& v : values) ASSERT_TRUE(v.has_value());

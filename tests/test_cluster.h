@@ -4,6 +4,8 @@
 #pragma once
 
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -80,5 +82,24 @@ class TestCluster {
   std::vector<std::unique_ptr<txn::ObjectCache>> caches_;
   btree::LinearOracle linear_oracle_;
 };
+
+// Up to `limit` pairs from `start` on, chaining BTree::Scan calls by their
+// resume key (snapshot and branch scans read one leaf per call).
+inline Status ScanAll(btree::BTree& tree, const btree::Target& target,
+                      const std::string& start, size_t limit,
+                      std::vector<std::pair<std::string, std::string>>* out) {
+  out->clear();
+  std::string cursor = start;
+  while (out->size() < limit) {
+    std::vector<std::pair<std::string, std::string>> chunk;
+    std::string resume;
+    MINUET_RETURN_NOT_OK(
+        tree.Scan(target, cursor, limit - out->size(), &chunk, &resume));
+    out->insert(out->end(), chunk.begin(), chunk.end());
+    if (resume.empty()) break;
+    cursor = std::move(resume);
+  }
+  return Status::OK();
+}
 
 }  // namespace minuet::testing

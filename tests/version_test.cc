@@ -14,7 +14,9 @@ namespace {
 
 using btree::BTree;
 using btree::SnapshotRef;
+using btree::Target;
 using btree::TreeOptions;
+using minuet::testing::ScanAll;
 using minuet::testing::TestCluster;
 
 class VersionTest : public ::testing::Test {
@@ -42,7 +44,8 @@ class VersionTest : public ::testing::Test {
   Status GetAt(uint64_t sid, const std::string& key, std::string* value) {
     auto info = vm().Info(sid);
     if (!info.ok()) return info.status();
-    return tree().SnapshotGet(SnapshotRef{sid, info->root}, key, value);
+    return tree().Get(Target::Snapshot(SnapshotRef{sid, info->root}), key,
+                      value);
   }
 
   std::unique_ptr<TestCluster> cluster_;
@@ -55,20 +58,20 @@ TEST_F(VersionTest, BranchZeroIsInitiallyWritable) {
   ASSERT_TRUE(info.ok());
   EXPECT_TRUE(info->writable);
   EXPECT_EQ(info->parent, btree::CatalogEntry::kNoParent);
-  ASSERT_TRUE(tree().BranchPut(0, "k", "v").ok());
+  ASSERT_TRUE(tree().Put(Target::Branch(0), "k", "v").ok());
   std::string value;
-  ASSERT_TRUE(tree().BranchGet(0, "k", &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Branch(0), "k", &value).ok());
   EXPECT_EQ(value, "v");
 }
 
 TEST_F(VersionTest, BranchingFreezesParent) {
-  ASSERT_TRUE(tree().BranchPut(0, "k", "v0").ok());
+  ASSERT_TRUE(tree().Put(Target::Branch(0), "k", "v0").ok());
   auto b1 = vm().CreateBranch(0);
   ASSERT_TRUE(b1.ok());
   EXPECT_EQ(*b1, 1u);
 
   // Snapshot 0 is read-only now.
-  EXPECT_TRUE(tree().BranchPut(0, "k", "poison").IsReadOnly());
+  EXPECT_TRUE(tree().Put(Target::Branch(0), "k", "poison").IsReadOnly());
   auto info = vm().Info(0);
   ASSERT_TRUE(info.ok());
   EXPECT_FALSE(info->writable);
@@ -76,10 +79,10 @@ TEST_F(VersionTest, BranchingFreezesParent) {
 
   // The branch carries the parent's data and accepts writes.
   std::string value;
-  ASSERT_TRUE(tree().BranchGet(*b1, "k", &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Branch(*b1), "k", &value).ok());
   EXPECT_EQ(value, "v0");
-  ASSERT_TRUE(tree().BranchPut(*b1, "k", "v1").ok());
-  ASSERT_TRUE(tree().BranchGet(*b1, "k", &value).ok());
+  ASSERT_TRUE(tree().Put(Target::Branch(*b1), "k", "v1").ok());
+  ASSERT_TRUE(tree().Get(Target::Branch(*b1), "k", &value).ok());
   EXPECT_EQ(value, "v1");
 
   // The frozen snapshot still reads the old value.
@@ -89,29 +92,30 @@ TEST_F(VersionTest, BranchingFreezesParent) {
 
 TEST_F(VersionTest, SiblingBranchesDiverge) {
   for (int i = 0; i < 50; i++) {
-    ASSERT_TRUE(tree().BranchPut(0, EncodeUserKey(i), EncodeValue(i)).ok());
+    ASSERT_TRUE(
+        tree().Put(Target::Branch(0), EncodeUserKey(i), EncodeValue(i)).ok());
   }
   auto b1 = vm().CreateBranch(0);
   ASSERT_TRUE(b1.ok());
   auto b2 = vm().CreateBranch(0);
   ASSERT_TRUE(b2.ok());
 
-  ASSERT_TRUE(tree().BranchPut(*b1, EncodeUserKey(10),
+  ASSERT_TRUE(tree().Put(Target::Branch(*b1), EncodeUserKey(10),
                                  EncodeValue(111)).ok());
-  ASSERT_TRUE(tree().BranchPut(*b2, EncodeUserKey(10),
+  ASSERT_TRUE(tree().Put(Target::Branch(*b2), EncodeUserKey(10),
                                  EncodeValue(222)).ok());
-  ASSERT_TRUE(tree().BranchPut(*b1, "only-b1", "x").ok());
+  ASSERT_TRUE(tree().Put(Target::Branch(*b1), "only-b1", "x").ok());
 
   std::string value;
-  ASSERT_TRUE(tree().BranchGet(*b1, EncodeUserKey(10), &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Branch(*b1), EncodeUserKey(10), &value).ok());
   EXPECT_EQ(DecodeValue(value), 111u);
-  ASSERT_TRUE(tree().BranchGet(*b2, EncodeUserKey(10), &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Branch(*b2), EncodeUserKey(10), &value).ok());
   EXPECT_EQ(DecodeValue(value), 222u);
-  EXPECT_TRUE(tree().BranchGet(*b2, "only-b1", &value).IsNotFound());
+  EXPECT_TRUE(tree().Get(Target::Branch(*b2), "only-b1", &value).IsNotFound());
   // Untouched keys are shared and visible in both.
-  ASSERT_TRUE(tree().BranchGet(*b1, EncodeUserKey(20), &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Branch(*b1), EncodeUserKey(20), &value).ok());
   EXPECT_EQ(DecodeValue(value), 20u);
-  ASSERT_TRUE(tree().BranchGet(*b2, EncodeUserKey(20), &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Branch(*b2), EncodeUserKey(20), &value).ok());
   EXPECT_EQ(DecodeValue(value), 20u);
 }
 
@@ -181,27 +185,31 @@ TEST_F(VersionTest, DiscretionaryCopiesBoundDescendantSets) {
   // Enough keys that the tree has real leaves below the root (the root
   // itself is copied eagerly at branch creation and never folds).
   for (int i = 0; i < 200; i++) {
-    ASSERT_TRUE(tree().BranchPut(0, EncodeUserKey(i), EncodeValue(0)).ok());
+    ASSERT_TRUE(
+        tree().Put(Target::Branch(0), EncodeUserKey(i), EncodeValue(0)).ok());
   }
   ASSERT_TRUE(vm().CreateBranch(0).ok());  // 1
   ASSERT_TRUE(vm().CreateBranch(0).ok());  // 2
   ASSERT_TRUE(vm().CreateBranch(1).ok());  // 3
   ASSERT_TRUE(vm().CreateBranch(1).ok());  // 4
 
-  ASSERT_TRUE(tree().BranchPut(3, EncodeUserKey(5), EncodeValue(3)).ok());
-  ASSERT_TRUE(tree().BranchPut(4, EncodeUserKey(5), EncodeValue(4)).ok());
+  ASSERT_TRUE(
+      tree().Put(Target::Branch(3), EncodeUserKey(5), EncodeValue(3)).ok());
+  ASSERT_TRUE(
+      tree().Put(Target::Branch(4), EncodeUserKey(5), EncodeValue(4)).ok());
   const uint64_t disc_before = tree().stats().discretionary_copies.Value();
-  ASSERT_TRUE(tree().BranchPut(2, EncodeUserKey(5), EncodeValue(2)).ok());
+  ASSERT_TRUE(
+      tree().Put(Target::Branch(2), EncodeUserKey(5), EncodeValue(2)).ok());
   EXPECT_GT(tree().stats().discretionary_copies.Value(), disc_before);
 
   // Every version still reads its own value; the frozen interior versions
   // read the original.
   std::string value;
-  ASSERT_TRUE(tree().BranchGet(3, EncodeUserKey(5), &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Branch(3), EncodeUserKey(5), &value).ok());
   EXPECT_EQ(DecodeValue(value), 3u);
-  ASSERT_TRUE(tree().BranchGet(4, EncodeUserKey(5), &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Branch(4), EncodeUserKey(5), &value).ok());
   EXPECT_EQ(DecodeValue(value), 4u);
-  ASSERT_TRUE(tree().BranchGet(2, EncodeUserKey(5), &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Branch(2), EncodeUserKey(5), &value).ok());
   EXPECT_EQ(DecodeValue(value), 2u);
   ASSERT_TRUE(GetAt(0, EncodeUserKey(5), &value).ok());
   EXPECT_EQ(DecodeValue(value), 0u);
@@ -210,14 +218,14 @@ TEST_F(VersionTest, DiscretionaryCopiesBoundDescendantSets) {
 }
 
 TEST_F(VersionTest, DeepBranchChainsStayCorrect) {
-  ASSERT_TRUE(tree().BranchPut(0, "k", "g0").ok());
+  ASSERT_TRUE(tree().Put(Target::Branch(0), "k", "g0").ok());
   uint64_t tip = 0;
   for (int gen = 1; gen <= 12; gen++) {
     auto next = vm().CreateBranch(tip);
     ASSERT_TRUE(next.ok());
     tip = *next;
     ASSERT_TRUE(
-        tree().BranchPut(tip, "k", "g" + std::to_string(gen)).ok());
+        tree().Put(Target::Branch(tip), "k", "g" + std::to_string(gen)).ok());
   }
   // Every interior generation preserved its value.
   std::string value;
@@ -225,7 +233,7 @@ TEST_F(VersionTest, DeepBranchChainsStayCorrect) {
     ASSERT_TRUE(GetAt(gen, "k", &value).ok()) << gen;
     EXPECT_EQ(value, "g" + std::to_string(gen));
   }
-  ASSERT_TRUE(tree().BranchGet(tip, "k", &value).ok());
+  ASSERT_TRUE(tree().Get(Target::Branch(tip), "k", &value).ok());
   EXPECT_EQ(value, "g12");
 }
 
@@ -235,7 +243,7 @@ TEST_F(VersionTest, WhatIfAnalysisScenario) {
   constexpr int kKeys = 200;
   for (int i = 0; i < kKeys; i++) {
     ASSERT_TRUE(
-        tree().BranchPut(0, EncodeUserKey(i), EncodeValue(100)).ok());
+        tree().Put(Target::Branch(0), EncodeUserKey(i), EncodeValue(100)).ok());
   }
   auto mainline = vm().CreateBranch(0);
   ASSERT_TRUE(mainline.ok());
@@ -245,14 +253,16 @@ TEST_F(VersionTest, WhatIfAnalysisScenario) {
   // The what-if branch doubles a subset of values.
   for (int i = 0; i < kKeys; i += 4) {
     ASSERT_TRUE(
-        tree().BranchPut(*whatif, EncodeUserKey(i), EncodeValue(200)).ok());
+        tree().Put(Target::Branch(*whatif), EncodeUserKey(i),
+                   EncodeValue(200)).ok());
   }
 
   auto sum_at_branch = [&](uint64_t sid) {
     uint64_t sum = 0;
     std::string value;
     for (int i = 0; i < kKeys; i++) {
-      EXPECT_TRUE(tree().BranchGet(sid, EncodeUserKey(i), &value).ok());
+      EXPECT_TRUE(
+          tree().Get(Target::Branch(sid), EncodeUserKey(i), &value).ok());
       sum += DecodeValue(value);
     }
     return sum;
@@ -262,47 +272,50 @@ TEST_F(VersionTest, WhatIfAnalysisScenario) {
 }
 
 TEST_F(VersionTest, SecondProxySeesBranches) {
-  ASSERT_TRUE(tree(0).BranchPut(0, "k", "v0").ok());
+  ASSERT_TRUE(tree(0).Put(Target::Branch(0), "k", "v0").ok());
   auto b1 = vm(0).CreateBranch(0);
   ASSERT_TRUE(b1.ok());
-  ASSERT_TRUE(tree(0).BranchPut(*b1, "k", "v1").ok());
+  ASSERT_TRUE(tree(0).Put(Target::Branch(*b1), "k", "v1").ok());
 
   // Proxy 1 (separate cache, separate oracle) reads both versions.
   std::string value;
-  ASSERT_TRUE(tree(1).BranchGet(*b1, "k", &value).ok());
+  ASSERT_TRUE(tree(1).Get(Target::Branch(*b1), "k", &value).ok());
   EXPECT_EQ(value, "v1");
   auto info = vm(1).Info(0);
   ASSERT_TRUE(info.ok());
-  ASSERT_TRUE(tree(1).SnapshotGet(SnapshotRef{0, info->root}, "k",
+  ASSERT_TRUE(tree(1).Get(Target::Snapshot(SnapshotRef{0, info->root}), "k",
                                     &value).ok());
   EXPECT_EQ(value, "v0");
   // Proxy 1 writing to the frozen snapshot is refused even though its
   // cached catalog entry may be stale (validation catches it).
-  EXPECT_TRUE(tree(1).BranchPut(0, "k", "poison").IsReadOnly());
+  EXPECT_TRUE(tree(1).Put(Target::Branch(0), "k", "poison").IsReadOnly());
 }
 
 TEST_F(VersionTest, ScansWorkOnBranches) {
   for (int i = 0; i < 150; i++) {
-    ASSERT_TRUE(tree().BranchPut(0, EncodeUserKey(i), EncodeValue(i)).ok());
+    ASSERT_TRUE(
+        tree().Put(Target::Branch(0), EncodeUserKey(i), EncodeValue(i)).ok());
   }
   auto b1 = vm().CreateBranch(0);
   ASSERT_TRUE(b1.ok());
   for (int i = 150; i < 300; i++) {
     ASSERT_TRUE(
-        tree().BranchPut(*b1, EncodeUserKey(i), EncodeValue(i)).ok());
+        tree().Put(Target::Branch(*b1), EncodeUserKey(i), EncodeValue(i)).ok());
   }
   // Scan the frozen parent: exactly the first 150 keys.
   auto info = vm().Info(0);
   ASSERT_TRUE(info.ok());
   std::vector<std::pair<std::string, std::string>> out;
-  ASSERT_TRUE(tree().SnapshotScan(SnapshotRef{0, info->root},
-                                    EncodeUserKey(0), 1000, &out).ok());
+  ASSERT_TRUE(ScanAll(tree(), Target::Snapshot(SnapshotRef{0, info->root}),
+                      EncodeUserKey(0), 1000, &out)
+                  .ok());
   EXPECT_EQ(out.size(), 150u);
   // Scan the branch tip (read-only traversal of its current root): 300.
   auto binfo = vm().Info(*b1);
   ASSERT_TRUE(binfo.ok());
-  ASSERT_TRUE(tree().SnapshotScan(SnapshotRef{*b1, binfo->root},
-                                    EncodeUserKey(0), 1000, &out).ok());
+  ASSERT_TRUE(ScanAll(tree(), Target::Snapshot(SnapshotRef{*b1, binfo->root}),
+                      EncodeUserKey(0), 1000, &out)
+                  .ok());
   EXPECT_EQ(out.size(), 300u);
 }
 
@@ -329,7 +342,7 @@ TEST_F(VersionTest, RandomizedBranchWorkloadMatchesReferenceModels) {
     }
     const std::string key = EncodeUserKey(rng.Uniform(60));
     const std::string value = EncodeValue(rng.Next());
-    ASSERT_TRUE(tree().BranchPut(branch, key, value).ok());
+    ASSERT_TRUE(tree().Put(Target::Branch(branch), key, value).ok());
     models[branch][key] = value;
   }
 
@@ -337,7 +350,7 @@ TEST_F(VersionTest, RandomizedBranchWorkloadMatchesReferenceModels) {
   for (uint64_t b : writable) {
     for (const auto& [k, v] : models[b]) {
       std::string value;
-      ASSERT_TRUE(tree().BranchGet(b, k, &value).ok())
+      ASSERT_TRUE(tree().Get(Target::Branch(b), k, &value).ok())
           << "branch " << b << " key " << k;
       EXPECT_EQ(value, v);
     }

@@ -37,10 +37,11 @@ void ExpectRowsMatchModel(const Rows& rows,
   }
 }
 
-// The satellite property: the same randomized history applied through a
+// The agreement property: the same randomized history applied through a
 // TipView (linear tree) and through BranchView v0 (branching tree) yields
 // views — tip, snapshot of the tip, frozen fork parent, fresh fork child —
-// that all agree with the reference model and with each other.
+// that all agree with the reference model and with each other, both
+// through the views and through btree::Target on the tree itself.
 TEST(ViewTest, TipSnapshotAndFreshBranchAgreeOnIdenticalHistories) {
   Cluster cluster(SmallOptions());
   auto linear = cluster.CreateTree(/*branching=*/false);
@@ -112,10 +113,87 @@ TEST(ViewTest, TipSnapshotAndFreshBranchAgreeOnIdenticalHistories) {
   ASSERT_TRUE(child->MultiGet(keys, &child_vals).ok());
   EXPECT_EQ(tip_vals, snap_vals);
   EXPECT_EQ(tip_vals, child_vals);
+  std::string value;
+
+  // The same agreement one layer down, on the tree's Target surface: one
+  // table row per target, every data operation.
+  struct TargetRow {
+    const char* name;
+    btree::BTree* tree;
+    btree::Target target;
+    bool writable;
+  };
+  const TargetRow targets[] = {
+      {"tip", p.tree(*linear), btree::Target::Tip(), true},
+      {"snapshot", p.tree(*linear), btree::Target::Snapshot(snap->ref()),
+       false},
+      {"branch", p.tree(*branchy), btree::Target::Branch(*child_sid), true},
+      {"frozen-branch", p.tree(*branchy), btree::Target::Branch(0), false},
+  };
+  const std::string present = model.begin()->first;
+  const std::string absent = "absent";
+  for (const TargetRow& t : targets) {
+    SCOPED_TRACE(t.name);
+    // One long scan, and the same range chained by resume key.
+    std::string resume;
+    ASSERT_TRUE(t.tree->Scan(t.target, "", 100000, &rows, &resume).ok());
+    if (t.target.kind == btree::Target::Kind::kTip) {
+      ExpectRowsMatchModel(rows, model, t.name);  // one call, whole range
+    }
+    Rows chained;
+    std::string from;
+    do {
+      Rows chunk;
+      ASSERT_TRUE(t.tree->Scan(t.target, from, 7, &chunk, &resume).ok());
+      chained.insert(chained.end(), chunk.begin(), chunk.end());
+      from = resume;
+    } while (!resume.empty());
+    ExpectRowsMatchModel(chained, model, t.name);
+
+    std::vector<std::optional<std::string>> vals;
+    ASSERT_TRUE(t.tree->MultiGet(t.target, keys, &vals).ok());
+    EXPECT_EQ(vals, tip_vals);
+    for (size_t i = 0; i < keys.size(); i++) {
+      Status st = t.tree->Get(t.target, keys[i], &value);
+      if (tip_vals[i].has_value()) {
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        EXPECT_EQ(value, *tip_vals[i]);
+      } else {
+        EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+      }
+    }
+
+    if (!t.writable) {
+      EXPECT_TRUE(t.tree->Put(t.target, present, "x").IsReadOnly());
+      EXPECT_TRUE(t.tree->Insert(t.target, absent, "x").IsReadOnly());
+      EXPECT_TRUE(t.tree->Remove(t.target, present).IsReadOnly());
+      EXPECT_TRUE(p.Transaction([&](txn::DynamicTxn& txn) {
+                     return t.tree->PutInTxn(txn, t.target, present, "x");
+                   }).IsReadOnly());
+      continue;
+    }
+    EXPECT_TRUE(t.tree->Insert(t.target, present, "x").IsAlreadyExists());
+    EXPECT_TRUE(t.tree->Remove(t.target, absent).IsNotFound());
+    EXPECT_TRUE(p.Transaction([&](txn::DynamicTxn& txn) {
+                   return t.tree->RemoveInTxn(txn, t.target, absent);
+                 }).IsNotFound());
+    ASSERT_TRUE(t.tree->Insert(t.target, absent, "fresh").ok());
+    ASSERT_TRUE(t.tree->Get(t.target, absent, &value).ok());
+    EXPECT_EQ(value, "fresh");
+    ASSERT_TRUE(p.Transaction([&](txn::DynamicTxn& txn) {
+                   return t.tree->RemoveInTxn(txn, t.target, absent);
+                 }).ok());
+    EXPECT_TRUE(t.tree->Get(t.target, absent, &value).IsNotFound());
+    ASSERT_TRUE(t.tree->Put(t.target, present, "updated").ok());
+  }
+  // Writes to the tip and the child reached neither frozen target.
+  for (const TargetRow& t : {targets[1], targets[3]}) {
+    ASSERT_TRUE(t.tree->Get(t.target, present, &value).ok()) << t.name;
+    EXPECT_EQ(value, model[present]) << t.name;
+  }
 
   // Diverging the child no longer disturbs snapshot or frozen parent.
   ASSERT_TRUE(child->Put(keys[0], "diverged").ok());
-  std::string value;
   Status st = frozen->Get(keys[0], &value);
   if (st.ok()) {
     EXPECT_NE(value, "diverged");
@@ -719,7 +797,8 @@ TEST(ViewTest, ColdMultiGetCostsAtMostDepthPlusTwoRounds) {
   ASSERT_TRUE(p.Transaction([&](txn::DynamicTxn& txn) -> Status {
                  for (const std::string& key : keys) {
                    std::string value;
-                   Status st = t->GetInTxn(txn, key, &value);
+                   Status st = t->GetInTxn(txn, btree::Target::Tip(), key,
+                                           &value);
                    if (!st.ok() && !st.IsNotFound()) return st;
                  }
                  return Status::OK();
@@ -775,7 +854,8 @@ TEST(ViewTest, ColdApplyResolvesLeavesThroughBatchedDescent) {
   ASSERT_TRUE(p.Transaction([&](txn::DynamicTxn& txn) -> Status {
                  for (const std::string& key : keys) {
                    MINUET_RETURN_NOT_OK(
-                       p.tree(*tb)->PutInTxn(txn, key, "x"));
+                       p.tree(*tb)->PutInTxn(txn, btree::Target::Tip(), key,
+                                             "x"));
                  }
                  return Status::OK();
                }).ok());
@@ -1024,11 +1104,13 @@ TEST(ViewTest, WriteBatchAndTransactionReachBranchTips) {
   btree::BTree* bt = p.tree(branchy->slot());
   btree::BTree* lt = p.tree(linear->slot());
   ASSERT_TRUE(p.Transaction([&](txn::DynamicTxn& txn) -> Status {
+                 const auto fork = btree::Target::Branch(*b1);
                  MINUET_RETURN_NOT_OK(
-                     bt->BranchPutInTxn(txn, *b1, EncodeUserKey(4), "forked"));
+                     bt->PutInTxn(txn, fork, EncodeUserKey(4), "forked"));
                  MINUET_RETURN_NOT_OK(
-                     bt->BranchRemoveInTxn(txn, *b1, EncodeUserKey(2)));
-                 return lt->PutInTxn(txn, EncodeUserKey(4), "linear-too");
+                     bt->RemoveInTxn(txn, fork, EncodeUserKey(2)));
+                 return lt->PutInTxn(txn, btree::Target::Tip(),
+                                     EncodeUserKey(4), "linear-too");
                }).ok());
   auto fork = p.Branch(*branchy, *b1);
   ASSERT_TRUE(fork.ok());
@@ -1083,8 +1165,9 @@ TEST(ViewTest, PrewarmedFanoutPartitionsReadFirstChunksWarm) {
     trace.Reset(cluster.n_memnodes());
     Rows rows;
     std::string resume;
-    ASSERT_TRUE(
-        t->SnapshotScanChunk(snap->ref(), part.start, 8, &rows, &resume).ok());
+    ASSERT_TRUE(t->Scan(btree::Target::Snapshot(snap->ref()), part.start, 8,
+                        &rows, &resume)
+                    .ok());
     EXPECT_LE(trace.round_trips, 1u) << "partition at " << part.start;
   }
   net::Fabric::SetThreadTrace(nullptr);
