@@ -3,6 +3,12 @@
 // tip) with β in {2, 3, 4}: larger β absorbs more copy targets per node
 // before a discretionary copy is needed, trading per-node space for fewer
 // extra copies — the trade-off §5.2 discusses for side-branch-heavy trees.
+//
+// GATE: discretionary copies must strictly decrease over beta = 2, 3, 4, or
+// the binary exits non-zero.
+#include <algorithm>
+#include <functional>
+
 #include "bench/harness/setup.h"
 #include "version/version_manager.h"
 
@@ -15,6 +21,7 @@ int main() {
               "beta  branches  discretionary_copies  cow_copies  "
               "slabs_allocated  mean_put_ms");
 
+  std::vector<uint64_t> discretionary;  // one per beta
   for (uint32_t beta : {2u, 3u, 4u}) {
     ClusterOptions opts;
     opts.machines = 8;
@@ -42,61 +49,50 @@ int main() {
     uint64_t mainline = 0;
     CostModel model;
     Aggregate puts;
-    net::OpTrace trace;
+    obs::TraceContext trace;
+    obs::ScopedTrace scoped(&trace);
     for (int gen = 0; gen < 6; gen++) {
       auto next = proxy.CreateBranch(*tree, mainline);
-      if (!next.ok()) {
-        std::fprintf(stderr, "branch(next) gen %d from %llu: %s\n", gen,
-                     (unsigned long long)mainline,
-                     next.status().ToString().c_str());
-        std::abort();
-      }
+      CheckOk(next.status(), "branch(next)");
       auto side = proxy.CreateBranch(*tree, mainline);
-      if (!side.ok()) {
-        std::fprintf(stderr, "branch(side) gen %d from %llu: %s\n", gen,
-                     (unsigned long long)mainline,
-                     side.status().ToString().c_str());
-        std::abort();
-      }
+      CheckOk(side.status(), "branch(side)");
       tips.erase(std::find(tips.begin(), tips.end(), mainline));
       tips.push_back(*next);
       tips.push_back(*side);
       mainline = *next;
       for (uint64_t tip : tips) {
-        // Resolve the branch view once, outside the traced region, so the
+        // Resolve the branch view once, before the per-put traces, so the
         // per-put message counts match the previous direct-call shape.
         auto tip_view = proxy.Branch(*tree, tip);
-        if (!tip_view.ok()) {
-          std::fprintf(stderr, "branch view %llu: %s\n",
-                       (unsigned long long)tip,
-                       tip_view.status().ToString().c_str());
-          std::abort();
-        }
+        CheckOk(tip_view.status(), "branch view");
         for (int i = 0; i < 150; i++) {
-          trace.Reset(opts.machines);
-          net::Fabric::SetThreadTrace(&trace);
-          Status st = tip_view->Put(EncodeUserKey(rng.Uniform(kPreload)),
-                                    EncodeValue(rng.Next()));
-          net::Fabric::SetThreadTrace(nullptr);
-          if (!st.ok()) {
-            std::fprintf(stderr, "put at tip %llu gen %d: %s\n",
-                         (unsigned long long)tip, gen,
-                         st.ToString().c_str());
-            std::abort();
-          }
+          trace.Clear();
+          CheckOk(tip_view->Put(EncodeUserKey(rng.Uniform(kPreload)),
+                                EncodeValue(rng.Next())),
+                  "put at tip");
           puts.Add(trace, model.OpLatencyMs(trace));
         }
       }
     }
     const auto& stats = proxy.tree(*tree)->stats();
+    discretionary.push_back(stats.discretionary_copies.Value());
     std::printf("%4u  %8zu  %20llu  %10llu  %15llu  %11.3f\n", beta,
                 tips.size(),
-                static_cast<unsigned long long>(
-                    stats.discretionary_copies.Value()),
+                static_cast<unsigned long long>(discretionary.back()),
                 static_cast<unsigned long long>(stats.cow_copies.Value()),
                 static_cast<unsigned long long>(
                     cluster.allocator()->allocated_count() - slabs_before),
                 puts.mean_latency_ms());
   }
-  return 0;
+
+  const bool falls = std::adjacent_find(discretionary.begin(),
+                                        discretionary.end(),
+                                        std::less_equal<>()) ==
+                     discretionary.end();
+  return Gate(falls, 2,
+              "discretionary copies %llu, %llu, %llu over beta 2, 3, 4 "
+              "(need strictly decreasing)",
+              static_cast<unsigned long long>(discretionary[0]),
+              static_cast<unsigned long long>(discretionary[1]),
+              static_cast<unsigned long long>(discretionary[2]));
 }

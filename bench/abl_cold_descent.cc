@@ -61,7 +61,6 @@ int main(int argc, char** argv) {
       for (size_t keys_per_op : {1, 4, 16, 64}) {
         const char* name = mode == Mode::kSerial ? "serial" : "batched";
         RunOptions ropts;
-        ropts.n_nodes = kMachines;
         // One thread: concurrent ops would re-warm each other's caches
         // mid-drop and blur the cold measurement.
         ropts.threads = 1;

@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
                        : mode == Mode::kTxnLoop ? "txnloop"
                                                 : "batched";
     RunOptions ropts;
-    ropts.n_nodes = kMachines;
     ropts.threads = kThreads;
     ropts.ops_per_thread = kOpsPerThread;
     std::vector<Rng> rngs;

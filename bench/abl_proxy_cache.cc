@@ -1,6 +1,12 @@
 // Ablation: the proxy-side internal-node cache (§2.3). Without it every
 // traversal re-fetches the path from the memnodes, turning the one-round-
 // trip warm read into height+1 round trips.
+//
+// GATE: a cached Get must average 1.00 round trips (the paper's warm read)
+// and an uncached one more than 1, or the binary exits non-zero. Both
+// figures come from the per-op traces RunOps merges.
+#include <cmath>
+
 #include "bench/harness/setup.h"
 
 int main() {
@@ -14,6 +20,7 @@ int main() {
   PrintHeader("Ablation: proxy cache of internal B-tree nodes",
               "cache  rounds_per_get  msgs_per_get  mean_get_ms  "
               "modeled_kops_s");
+  double rounds_per_get[2] = {0, 0};  // [cached]
   for (bool cached : {true, false}) {
     auto cluster = MakeCluster(kMachines);
     auto tree = cluster->CreateTree();
@@ -28,7 +35,6 @@ int main() {
         &oracle, tree->slot(), topts);
 
     RunOptions ropts;
-    ropts.n_nodes = kMachines;
     ropts.threads = 4;
     ropts.ops_per_thread = 1500;
     std::vector<Rng> rngs;
@@ -52,6 +58,12 @@ int main() {
                 cached ? "on" : "off", out.agg.mean_rounds(),
                 out.agg.mean_msgs(), out.agg.mean_latency_ms(),
                 ModeledPeakThroughput(model, out.agg, kMachines) / 1000.0);
+    rounds_per_get[cached] = out.agg.mean_rounds();
   }
-  return 0;
+
+  return Gate(std::abs(rounds_per_get[1] - 1.0) < 0.005 &&
+                  rounds_per_get[0] > 1.0,
+              2, "rounds_per_get %.2f cached (need 1.00), %.2f uncached "
+              "(need > 1)",
+              rounds_per_get[1], rounds_per_get[0]);
 }

@@ -77,7 +77,6 @@ int main(int argc, char** argv) {
 
   auto run_mix = [&](const char* label) -> Aggregate {
     RunOptions ropts;
-    ropts.n_nodes = cluster.n_memnodes();
     ropts.threads = kThreads;
     ropts.ops_per_thread = kOps;
     std::vector<Rng> rngs;

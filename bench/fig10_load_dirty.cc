@@ -22,7 +22,6 @@ Aggregate RunLoad(uint32_t machines, bool dirty) {
   ycsb::InsertSequence inserts(0);
 
   RunOptions ropts;
-  ropts.n_nodes = machines;
   ropts.threads = kThreads;
   ropts.ops_per_thread = kOpsPerThread;
   CostModel model;

@@ -22,7 +22,6 @@ Measured MeasureMinuet() {
 
   CostModel model;
   RunOptions ropts;
-  ropts.n_nodes = kMachines;
   ropts.threads = 4;
   ropts.ops_per_thread = 600;
   std::vector<Rng> rngs;
@@ -56,7 +55,6 @@ Measured MeasureCdb() {
 
   CostModel model;
   RunOptions ropts;
-  ropts.n_nodes = kMachines;
   ropts.threads = 4;
   ropts.ops_per_thread = 600;
   ropts.cdb_cost = true;

@@ -26,7 +26,6 @@ Row RunMinuet(uint32_t machines) {
 
   CostModel model;
   RunOptions ropts;
-  ropts.n_nodes = machines;
   ropts.threads = kThreads;
   ropts.ops_per_thread = kOps;
   ycsb::InsertSequence inserts(kPreload);
@@ -83,7 +82,6 @@ Row RunCdb(uint32_t machines) {
 
   CostModel model;
   RunOptions ropts;
-  ropts.n_nodes = machines;
   ropts.threads = kThreads;
   ropts.ops_per_thread = kOps;
   ropts.cdb_cost = true;

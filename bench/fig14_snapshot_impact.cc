@@ -32,7 +32,6 @@ int main() {
 
   CostModel model;
   RunOptions ropts;
-  ropts.n_nodes = kMachines;
   ropts.threads = 6;
   ropts.ops_per_thread = 1u << 22;  // deadline-bounded
   ropts.virtual_deadline_s = kDuration;

@@ -39,7 +39,6 @@ int main() {
   mvcc::SnapshotService scs(cluster->proxy(0).tree(*tree), {});
 
   RunOptions ropts;
-  ropts.n_nodes = kMachines;
   ropts.threads = kScanThreads + kUpdateThreads;
   ropts.ops_per_thread = 1u << 20;
   ropts.virtual_deadline_s = 0.5;

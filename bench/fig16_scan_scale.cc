@@ -25,7 +25,6 @@ int main() {
     Preload(*cluster, *tree, kPreload);
 
     RunOptions ropts;
-    ropts.n_nodes = machines;
     ropts.threads = kThreads;
     ropts.ops_per_thread = 1u << 20;
     ropts.virtual_deadline_s = 0.6;
@@ -52,9 +51,8 @@ int main() {
                        EncodeValue(rng.Next()));
       }
       // Keep the shared clock moving so the k-policy sees time advance.
-      if (net::OpTrace* tr = net::Fabric::ThreadTrace()) {
-        vclock.Advance(model.OpLatencyMs(*tr) / 1000.0);
-      }
+      vclock.Advance(
+          model.OpLatencyMs(*obs::TraceContext::Current()) / 1000.0);
       return st;
     });
 

@@ -37,7 +37,6 @@ int main() {
       Preload(*cluster, *tree, kPreload);
 
       RunOptions ropts;
-      ropts.n_nodes = machines;
       ropts.threads = kThreads;
       ropts.ops_per_thread = 1u << 20;
       ropts.virtual_deadline_s = 0.8;
@@ -58,9 +57,8 @@ int main() {
           st = proxy.Put(*tree, EncodeUserKey(rng.Uniform(kPreload)),
                          EncodeValue(rng.Next()));
         }
-        if (net::OpTrace* tr = net::Fabric::ThreadTrace()) {
-          vclock.Advance(model.OpLatencyMs(*tr) / 1000.0);
-        }
+        vclock.Advance(
+            model.OpLatencyMs(*obs::TraceContext::Current()) / 1000.0);
         return st;
       });
       const Aggregate updates = out.ThreadRange(1, kThreads);

@@ -31,7 +31,6 @@ int main() {
       Preload(*cluster, *tree, kPreload);
 
       RunOptions ropts;
-      ropts.n_nodes = kMachines;
       ropts.threads = with_updates ? kThreads : 1;
       ropts.ops_per_thread = 1u << 20;
       ropts.virtual_deadline_s = 0.6;
@@ -50,9 +49,8 @@ int main() {
           st = proxy.Put(*tree, EncodeUserKey(rng.Uniform(kPreload)),
                          EncodeValue(rng.Next()));
         }
-        if (net::OpTrace* tr = net::Fabric::ThreadTrace()) {
-          vclock.Advance(model.OpLatencyMs(*tr) / 1000.0);
-        }
+        vclock.Advance(
+            model.OpLatencyMs(*obs::TraceContext::Current()) / 1000.0);
         return st;
       });
       const Aggregate scans = out.ThreadRange(0, 1);

@@ -19,8 +19,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
-#include "net/fabric.h"
+#include "obs/trace.h"
 
 namespace minuet::bench {
 
@@ -39,8 +40,8 @@ struct CostModel {
   double clients_per_machine = 64.0;
 
   // Unloaded latency of one operation from its trace.
-  double OpLatencyMs(const net::OpTrace& t, bool cdb = false) const {
-    return proxy_ms + t.round_trips * rtt_ms + t.messages * service_ms +
+  double OpLatencyMs(const obs::TraceContext& t, bool cdb = false) const {
+    return proxy_ms + t.round_trips() * rtt_ms + t.messages() * service_ms +
            (cdb ? cdb_dispatch_ms : 0.0);
   }
 
@@ -65,21 +66,17 @@ struct Aggregate {
   uint64_t nodes_copied = 0;
   std::vector<double> per_node_msgs;  // demand per memnode
 
-  void Add(const net::OpTrace& t, double latency_ms, uint64_t wall_ns = 0) {
+  void Add(const obs::TraceContext& t, double latency_ms,
+           uint64_t wall_ns = 0) {
     ops++;
     sum_latency_ms += latency_ms;
-    sum_rounds += t.round_trips;
-    sum_msgs += t.messages;
+    sum_rounds += t.round_trips();
+    sum_msgs += t.messages();
     sum_wall_ns += wall_ns;
-    retries += t.retries;
-    validation_aborts += t.validation_aborts;
-    nodes_copied += t.nodes_copied;
-    if (per_node_msgs.size() < t.per_node.size()) {
-      per_node_msgs.resize(t.per_node.size(), 0);
-    }
-    for (size_t i = 0; i < t.per_node.size(); i++) {
-      per_node_msgs[i] += t.per_node[i];
-    }
+    retries += t.busy_retries();
+    validation_aborts += t.validation_aborts();
+    nodes_copied += t.nodes_copied();
+    AddPerNode(t.per_node());
   }
 
   void Merge(const Aggregate& o) {
@@ -92,12 +89,13 @@ struct Aggregate {
     retries += o.retries;
     validation_aborts += o.validation_aborts;
     nodes_copied += o.nodes_copied;
-    if (per_node_msgs.size() < o.per_node_msgs.size()) {
-      per_node_msgs.resize(o.per_node_msgs.size(), 0);
-    }
-    for (size_t i = 0; i < o.per_node_msgs.size(); i++) {
-      per_node_msgs[i] += o.per_node_msgs[i];
-    }
+    AddPerNode(o.per_node_msgs);
+  }
+
+  template <typename T>
+  void AddPerNode(const std::vector<T>& msgs) {
+    if (per_node_msgs.size() < msgs.size()) per_node_msgs.resize(msgs.size());
+    for (size_t i = 0; i < msgs.size(); i++) per_node_msgs[i] += msgs[i];
   }
 
   double mean_latency_ms() const {

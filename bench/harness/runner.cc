@@ -1,7 +1,6 @@
 #include "bench/harness/runner.h"
 
 #include <chrono>
-#include <mutex>
 
 namespace minuet::bench {
 
@@ -16,7 +15,8 @@ RunOutput RunOps(const CostModel& model, const RunOptions& options,
   for (uint32_t t = 0; t < options.threads; t++) {
     workers.emplace_back([&, t] {
       Aggregate& agg = per_thread[t];
-      net::OpTrace trace;
+      obs::TraceContext trace;
+      obs::ScopedTrace scoped(&trace);
       OpContext ctx;
       ctx.thread = t;
       double clock_s = 0;
@@ -27,15 +27,13 @@ RunOutput RunOps(const CostModel& model, const RunOptions& options,
         }
         ctx.index = i;
         ctx.virtual_time_s = clock_s;
-        trace.Reset(options.n_nodes);
-        net::Fabric::SetThreadTrace(&trace);
+        trace.Clear();
         const auto wall_start = std::chrono::steady_clock::now();
         Status st = op(ctx);
         const auto wall_ns =
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - wall_start)
                 .count();
-        net::Fabric::SetThreadTrace(nullptr);
         const double latency_ms = model.OpLatencyMs(trace, options.cdb_cost);
         clock_s += latency_ms / 1000.0;
         if (st.ok() || st.IsNotFound()) {

@@ -22,7 +22,6 @@ struct OpContext {
 };
 
 struct RunOptions {
-  uint32_t n_nodes = 4;        // fabric width (for per-node accounting)
   uint32_t threads = 8;
   uint64_t ops_per_thread = 1000;
   // Stop a thread when its virtual clock passes this (0 = no limit).
@@ -48,8 +47,10 @@ struct RunOutput {
 };
 
 // Runs `op` concurrently. `op` returns a Status; failures are counted but
-// do not stop the run. If `record_completions` is set, each op's virtual
-// completion time is recorded (time-series figures).
+// do not stop the run. Each op runs with its thread's obs::TraceContext
+// armed and cleared, so `op` can read its own counts via Current(). If
+// `record_completions` is set, each op's virtual completion time is
+// recorded (time-series figures).
 RunOutput RunOps(const CostModel& model, const RunOptions& options,
                  const std::function<Status(const OpContext&)>& op,
                  bool record_completions = false);

@@ -2,6 +2,7 @@
 // preloading, and gnuplot-friendly table printing.
 #pragma once
 
+#include <cstdarg>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -11,6 +12,29 @@
 #include "minuet/cluster.h"
 
 namespace minuet::bench {
+
+// Aborts the bench with a diagnostic when a setup step fails.
+inline void CheckOk(const Status& st, const char* what) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "%s failed: %s\n", what, st.ToString().c_str());
+  std::abort();
+}
+
+// Reports a claim the bench gates on. Prints "# gate ok: <claim>" and
+// returns 0 when it holds; prints "GATE FAILED: <claim>" to stderr and
+// returns `fail_code` (the process exit code) when it does not.
+__attribute__((format(printf, 3, 4))) inline int Gate(bool holds,
+                                                      int fail_code,
+                                                      const char* fmt, ...) {
+  char claim[256];
+  va_list args;
+  va_start(args, fmt);
+  std::vsnprintf(claim, sizeof(claim), fmt, args);
+  va_end(args);
+  std::fprintf(holds ? stdout : stderr, "%s: %s\n",
+               holds ? "# gate ok" : "GATE FAILED", claim);
+  return holds ? 0 : fail_code;
+}
 
 inline std::unique_ptr<Cluster> MakeCluster(uint32_t machines,
                                             bool dirty = true,
@@ -35,11 +59,7 @@ inline void Preload(Cluster& cluster, const TreeHandle& tree, uint64_t n,
     workers.emplace_back([&, t] {
       TipView tip = cluster.proxy(t % cluster.n_proxies()).Tip(tree);
       for (uint64_t i = t; i < n; i += threads) {
-        Status st = tip.Put(EncodeUserKey(i), EncodeValue(i));
-        if (!st.ok()) {
-          std::fprintf(stderr, "preload failed: %s\n", st.ToString().c_str());
-          std::abort();
-        }
+        CheckOk(tip.Put(EncodeUserKey(i), EncodeValue(i)), "preload");
       }
     });
   }

@@ -21,6 +21,7 @@
 // modes): a shared frontier-visitor walk of the tip that lists every node
 // with a routing key to re-locate it by.
 #include "btree/tree.h"
+#include "obs/trace.h"
 
 namespace minuet::btree {
 
@@ -124,7 +125,7 @@ Status BTree::MigrateNodeInTxn(DynamicTxn& txn, const NodePlacement& expected,
   copy.descendants.clear();
   auto copy_addr = WriteFreshNodeAt(txn, copy, dest);
   if (!copy_addr.ok()) return copy_addr.status();
-  if (net::OpTrace* tr = net::Fabric::ThreadTrace()) tr->nodes_copied++;
+  if (auto* t = obs::TraceContext::Current()) t->CountNodeCopy();
   MINUET_RETURN_NOT_OK(
       RecordCopy(txn, entry.addr, std::move(source), tip->sid, *copy_addr));
 

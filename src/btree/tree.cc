@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "common/byteio.h"
+#include "obs/trace.h"
 
 namespace minuet::btree {
 
@@ -472,7 +473,7 @@ Result<Addr> BTree::CopyNodeInTxn(DynamicTxn& txn, Addr node_addr,
   auto copy_addr = WriteFreshNode(txn, copy);
   if (!copy_addr.ok()) return copy_addr.status();
   stats_->cow_copies.Increment();
-  if (net::OpTrace* tr = net::Fabric::ThreadTrace()) tr->nodes_copied++;
+  if (auto* t = obs::TraceContext::Current()) t->CountNodeCopy();
 
   if (record_copy) {
     MINUET_RETURN_NOT_OK(
@@ -582,7 +583,7 @@ Status BTree::ApplyLeafMutation(DynamicTxn& txn, const TipContext& tip,
       if (!copy_addr.ok()) return copy_addr.status();
       target = *copy_addr;
       stats_->cow_copies.Increment();
-      if (net::OpTrace* tr = net::Fabric::ThreadTrace()) tr->nodes_copied++;
+      if (auto* t = obs::TraceContext::Current()) t->CountNodeCopy();
       MINUET_RETURN_NOT_OK(
           RecordCopy(txn, addr, std::move(pristine), tip.sid, target));
       child_changed = true;

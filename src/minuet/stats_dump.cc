@@ -90,10 +90,7 @@ void Cluster::BindCoreMetrics() {
 
 void Cluster::BindMemnodeMetrics(uint32_t id) {
   const std::string sub = "memnode" + std::to_string(id);
-  net::Fabric* fabric = fabric_.get();
-  registry_.LinkGauge(sub, "messages", [fabric, id] {
-    return static_cast<int64_t>(fabric->NodeMessages(id));
-  });
+  registry_.LinkCounter(sub, "messages", fabric_->NodeMessageCounter(id));
   memnodes_[id]->lock_table().BindMetrics(&registry_, sub + ".locks");
   if (store::CheckpointedStore* ds = coord_->durable_store(id)) {
     wal::Wal::Metrics& w = ds->wal().metrics();

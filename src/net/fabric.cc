@@ -1,9 +1,10 @@
 #include "net/fabric.h"
 
+#include "obs/trace.h"
+
 namespace minuet::net {
 
 namespace {
-thread_local OpTrace* t_trace = nullptr;
 // Depth of open RoundTripScopes; >0 means messages join the current round.
 thread_local int t_batch_depth = 0;
 // True once the open batch has charged its round trip.
@@ -15,13 +16,12 @@ Fabric::Fabric(uint32_t n_nodes, uint32_t max_nodes)
       max_nodes_(max_nodes < n_nodes ? n_nodes : max_nodes),
       up_(new std::atomic<bool>[max_nodes_]),
       retired_(new std::atomic<bool>[max_nodes_]),
-      node_msgs_(new std::atomic<uint64_t>[max_nodes_]) {
+      node_msgs_(new obs::Counter[max_nodes_]) {
   for (uint32_t i = 0; i < max_nodes_; i++) {
     // Not-yet-registered slots are pre-marked up so RegisterNode is just a
     // count bump; the bounds check against n_nodes_ keeps them unreachable.
     up_[i].store(true, std::memory_order_relaxed);
     retired_[i].store(false, std::memory_order_relaxed);
-    node_msgs_[i].store(0, std::memory_order_relaxed);
   }
 }
 
@@ -31,7 +31,6 @@ Result<NodeId> Fabric::RegisterNode() {
     return Status::NoSpace("fabric at its configured max_nodes");
   }
   up_[id].store(true, std::memory_order_release);
-  node_msgs_[id].store(0, std::memory_order_relaxed);
   n_nodes_.store(id + 1, std::memory_order_release);
   return id;
 }
@@ -51,19 +50,14 @@ Status Fabric::Charge(NodeId to, bool on_critical_path) {
   if (to >= n_nodes() || !IsUp(to)) {
     return Status::Unavailable("memnode down");
   }
-  node_msgs_[to].fetch_add(1, std::memory_order_relaxed);
-  if (OpTrace* tr = t_trace) {
-    tr->messages++;
-    if (to < tr->per_node.size()) tr->per_node[to]++;
-    if (!on_critical_path) return Status::OK();
-    if (t_batch_depth > 0) {
-      if (!t_batch_charged) {
-        tr->round_trips++;
-        t_batch_charged = true;
-      }
-    } else {
-      tr->round_trips++;
+  node_msgs_[to].Increment();
+  if (obs::TraceContext* tr = obs::TraceContext::Current()) {
+    bool new_round = false;
+    if (on_critical_path) {
+      new_round = t_batch_depth == 0 || !t_batch_charged;
+      if (t_batch_depth > 0) t_batch_charged = true;
     }
+    tr->CountMessage(to, new_round);
   }
   return Status::OK();
 }
@@ -79,19 +73,10 @@ Status Fabric::ChargeMessageAsync(NodeId to) {
 uint64_t Fabric::TotalMessages() const {
   uint64_t sum = 0;
   for (uint32_t i = 0; i < n_nodes(); i++) {
-    sum += node_msgs_[i].load(std::memory_order_relaxed);
+    sum += node_msgs_[i].Value();
   }
   return sum;
 }
-
-void Fabric::ResetCounters() {
-  for (uint32_t i = 0; i < n_nodes(); i++) {
-    node_msgs_[i].store(0, std::memory_order_relaxed);
-  }
-}
-
-void Fabric::SetThreadTrace(OpTrace* trace) { t_trace = trace; }
-OpTrace* Fabric::ThreadTrace() { return t_trace; }
 
 RoundTripScope::RoundTripScope() : outermost_(t_batch_depth == 0) {
   t_batch_depth++;

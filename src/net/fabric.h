@@ -7,8 +7,10 @@
 //       exactly as a crashed memnode would),
 //   (2) counts one message against the destination node (used by the
 //       benchmark cost model to locate capacity bottlenecks), and
-//   (3) records the message and round trip in the calling thread's OpTrace,
-//       from which per-operation network cost is derived.
+//   (3) records the message and round trip in the calling thread's
+//       obs::TraceContext, if one is armed: the same context carries the
+//       op's round and attempt spans, and per-operation network cost is
+//       derived from its counts.
 //
 // Parallel fan-out (a coordinator contacting several memnodes at once, as in
 // Sinfonia's two-phase commit) is expressed with RoundTripScope so that a
@@ -19,30 +21,13 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "common/status.h"
+#include "obs/metrics.h"
 
 namespace minuet::net {
 
 using NodeId = uint32_t;
-
-// Per-operation network trace, attached to the current thread while a
-// B-tree operation (or CDB stored procedure) executes. The benchmark
-// harness turns (round_trips, messages) into modeled latency.
-struct OpTrace {
-  uint64_t messages = 0;
-  uint64_t round_trips = 0;
-  uint64_t retries = 0;        // minitransaction re-executions (busy locks)
-  uint64_t validation_aborts = 0;
-  uint64_t nodes_copied = 0;   // copy-on-write node copies in this op
-  std::vector<uint32_t> per_node;  // messages per destination node
-
-  void Reset(size_t n_nodes) {
-    messages = round_trips = retries = validation_aborts = nodes_copied = 0;
-    per_node.assign(n_nodes, 0);
-  }
-};
 
 class Fabric {
  public:
@@ -99,16 +84,13 @@ class Fabric {
 
   // Total messages ever delivered to `to` (capacity-model input).
   uint64_t NodeMessages(NodeId to) const {
-    return to < n_nodes() ? node_msgs_[to].load(std::memory_order_relaxed)
-                          : 0;
+    return to < n_nodes() ? node_msgs_[to].Value() : 0;
+  }
+  // The counter behind NodeMessages, for linking into a MetricsRegistry.
+  const obs::Counter* NodeMessageCounter(NodeId to) const {
+    return &node_msgs_[to];
   }
   uint64_t TotalMessages() const;
-  void ResetCounters();
-
-  // Attach/detach the per-op trace for the current thread. Pass nullptr to
-  // detach. The caller owns the trace.
-  static void SetThreadTrace(OpTrace* trace);
-  static OpTrace* ThreadTrace();
 
  private:
   friend class RoundTripScope;
@@ -122,7 +104,7 @@ class Fabric {
   uint32_t max_nodes_;
   std::unique_ptr<std::atomic<bool>[]> up_;
   std::unique_ptr<std::atomic<bool>[]> retired_;
-  std::unique_ptr<std::atomic<uint64_t>[]> node_msgs_;  // lint:allow(metrics): per-node wire tally, linked as gauges
+  std::unique_ptr<obs::Counter[]> node_msgs_;
 };
 
 // Opens a "parallel batch": every ChargeMessage issued by this thread while

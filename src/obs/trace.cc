@@ -5,12 +5,6 @@
 
 namespace minuet::obs {
 
-namespace {
-thread_local TraceContext* g_current = nullptr;
-}  // namespace
-
-TraceContext* TraceContext::Current() { return g_current; }
-
 void TraceContext::RecordRound(const char* label, int participants, int items,
                                const Status& outcome, uint64_t wall_ns) {
   TraceSpan s;
@@ -23,7 +17,6 @@ void TraceContext::RecordRound(const char* label, int participants, int items,
   s.outcome = outcome.code();
   spans_.push_back(s);
   rounds_++;
-  total_wall_ns_ += wall_ns;
 }
 
 void TraceContext::RecordAttemptEnd(const Status& outcome) {
@@ -35,6 +28,15 @@ void TraceContext::RecordAttemptEnd(const Status& outcome) {
   s.reason = ClassifyAbort(outcome);
   spans_.push_back(s);
   attempts_++;
+}
+
+uint64_t TraceContext::validation_aborts() const {
+  uint64_t n = 0;
+  for (const TraceSpan& s : spans_) {
+    n += s.kind == TraceSpan::Kind::kAttempt &&
+         s.reason == AbortReason::kValidationConflict;
+  }
+  return n;
 }
 
 std::string TraceContext::ToString() const {
@@ -67,14 +69,19 @@ void TraceContext::Clear() {
   spans_.clear();
   rounds_ = 0;
   attempts_ = 0;
-  total_wall_ns_ = 0;
+  messages_ = 0;
+  round_trips_ = 0;
+  per_node_.clear();
+  busy_retries_ = 0;
+  nodes_copied_ = 0;
 }
 
-ScopedTrace::ScopedTrace(TraceContext* ctx) : prev_(g_current) {
-  g_current = ctx;
+ScopedTrace::ScopedTrace(TraceContext* ctx)
+    : prev_(TraceContext::current_) {
+  TraceContext::current_ = ctx;
 }
 
-ScopedTrace::~ScopedTrace() { g_current = prev_; }
+ScopedTrace::~ScopedTrace() { TraceContext::current_ = prev_; }
 
 AbortReason ClassifyAbort(const Status& st) {
   if (st.IsBusy() || st.IsTimedOut()) return AbortReason::kLockBusy;

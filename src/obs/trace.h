@@ -1,12 +1,14 @@
-// Per-operation tracing (PR 9 observability layer).
+// Per-operation tracing: the one per-op recorder.
 //
 // A TraceContext records a span per coordinator round (participants, batch
 // size, outcome, wall ns) and a span per retry attempt (with its taxonomy
-// abort reason). Installation follows the same thread-local pattern as
-// net::Fabric::SetThreadTrace: a caller arms tracing for the CURRENT thread
-// with a ScopedTrace, and the coordinator / retry loops record into whatever
-// context is installed — zero cost (one thread-local null check) when none
-// is. View ops arm it per call via ViewOptions / the slow-op log.
+// abort reason), plus the op's wire counts: messages and round trips charged
+// by net::Fabric (messages also per destination memnode), busy lock
+// re-executions and copy-on-write node copies. The benchmark cost model
+// reads those counts. A caller arms tracing for the CURRENT thread with a
+// ScopedTrace, and the fabric, coordinator and retry loops record into
+// whatever context is installed — zero cost (one thread-local null check)
+// when none is. View ops arm it per call via the slow-op log.
 #pragma once
 
 #include <atomic>
@@ -41,12 +43,11 @@ struct TraceSpan {
   AbortReason reason = AbortReason::kNone;  // attempts only
 };
 
-// Not thread-safe: a context belongs to the single thread that armed it
-// (mirroring net::OpTrace).
+// Not thread-safe: a context belongs to the single thread that armed it.
 class TraceContext {
  public:
-  // The context armed on this thread, or nullptr.
-  static TraceContext* Current();
+  // The context armed on this thread, or nullptr: one thread-local load.
+  static TraceContext* Current() { return current_; }
 
   void RecordRound(const char* label, int participants, int items,
                    const Status& outcome, uint64_t wall_ns);
@@ -54,10 +55,29 @@ class TraceContext {
   // index subsequent rounds are stamped with.
   void RecordAttemptEnd(const Status& outcome);
 
+  // One message to memnode `node`; `new_round` when it opens a round trip
+  // (net::RoundTripScope batches a fan-out into one).
+  void CountMessage(uint32_t node, bool new_round) {
+    messages_++;
+    if (new_round) round_trips_++;
+    if (node >= per_node_.size()) per_node_.resize(node + 1, 0);
+    per_node_[node]++;
+  }
+  void CountBusyRetry() { busy_retries_++; }
+  void CountNodeCopy() { nodes_copied_++; }
+
   const std::vector<TraceSpan>& spans() const { return spans_; }
   int rounds() const { return rounds_; }
   int attempts() const { return attempts_; }
-  uint64_t total_wall_ns() const { return total_wall_ns_; }
+  uint64_t messages() const { return messages_; }
+  uint64_t round_trips() const { return round_trips_; }
+  // Messages per destination memnode, up to the highest id charged.
+  const std::vector<uint32_t>& per_node() const { return per_node_; }
+  // Coordinator re-executions after a busy lock.
+  uint64_t busy_retries() const { return busy_retries_; }
+  uint64_t nodes_copied() const { return nodes_copied_; }
+  // Retry attempts closed with kValidationConflict (read from the spans).
+  uint64_t validation_aborts() const;
 
   // Span-per-line timeline, e.g.
   //   round 0.0 2pc participants=3 items=17 outcome=OK 41250ns
@@ -69,10 +89,16 @@ class TraceContext {
  private:
   friend class ScopedTrace;
 
+  static inline thread_local TraceContext* current_ = nullptr;
+
   std::vector<TraceSpan> spans_;
   int rounds_ = 0;
   int attempts_ = 0;
-  uint64_t total_wall_ns_ = 0;
+  uint64_t messages_ = 0;
+  uint64_t round_trips_ = 0;
+  std::vector<uint32_t> per_node_;
+  uint64_t busy_retries_ = 0;
+  uint64_t nodes_copied_ = 0;
 };
 
 // RAII installer: arms `ctx` as TraceContext::Current() for this thread and

@@ -112,7 +112,7 @@ Status Coordinator::Execute(const MiniTxn& mtx, MiniResult* result) {
   for (uint32_t attempt = 0; attempt <= options_.max_retries; attempt++) {
     if (attempt > 0) {
       metrics_.busy_retries.Increment();
-      if (net::OpTrace* tr = net::Fabric::ThreadTrace()) tr->retries++;
+      if (trace != nullptr) trace->CountBusyRetry();
       // Give the lock holder a chance to finish. On a machine with fewer
       // cores than threads, a holder can sit preempted mid-commit for a
       // whole scheduling quantum; yield alone then degenerates into a

@@ -54,7 +54,6 @@ Result<DynamicTxn::ReadRecord> DynamicTxn::Fetch(const ObjectRef& ref) {
     // Piggy-backed validation failed: some object read earlier has been
     // overwritten. The transaction cannot commit; abort now.
     MarkAborted(AbortReason::kValidationConflict);
-    if (net::OpTrace* tr = net::Fabric::ThreadTrace()) tr->validation_aborts++;
     return Status::Aborted(AbortReason::kValidationConflict,
                            "piggyback validation failed");
   }
@@ -236,9 +235,6 @@ Result<std::vector<Payload>> DynamicTxn::BatchFetch(
     if (!result.committed) {
       if (policy.piggyback) {
         MarkAborted(AbortReason::kValidationConflict);
-        if (net::OpTrace* tr = net::Fabric::ThreadTrace()) {
-          tr->validation_aborts++;
-        }
         return Status::Aborted(AbortReason::kValidationConflict,
                                "piggyback validation failed");
       }
@@ -486,7 +482,6 @@ Status DynamicTxn::Commit() {
   }
   if (!result.committed) {
     MarkAborted(AbortReason::kValidationConflict);
-    if (net::OpTrace* tr = net::Fabric::ThreadTrace()) tr->validation_aborts++;
     return Status::Aborted(AbortReason::kValidationConflict,
                            "commit validation failed");
   }

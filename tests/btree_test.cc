@@ -9,6 +9,7 @@
 
 #include "common/key_codec.h"
 #include "common/random.h"
+#include "obs/trace.h"
 #include "test_cluster.h"
 
 namespace minuet::btree {
@@ -184,15 +185,15 @@ TEST_F(BTreeTest, WarmGetUsesOneRoundTrip) {
   std::string value;
   ASSERT_TRUE(tree().Get(Target::Tip(), EncodeUserKey(200), &value).ok());
 
-  net::OpTrace trace;
-  trace.Reset(cluster_->config().n_memnodes);
-  net::Fabric::SetThreadTrace(&trace);
-  ASSERT_TRUE(tree().Get(Target::Tip(), EncodeUserKey(201), &value).ok());
-  net::Fabric::SetThreadTrace(nullptr);
+  obs::TraceContext trace;
+  {
+    obs::ScopedTrace scoped(&trace);
+    ASSERT_TRUE(tree().Get(Target::Tip(), EncodeUserKey(201), &value).ok());
+  }
   // The paper's best case: traverse in-cache, fetch the leaf and validate
   // the path in the same minitransaction → one round trip to one memnode.
-  EXPECT_EQ(trace.round_trips, 1u);
-  EXPECT_EQ(trace.messages, 1u);
+  EXPECT_EQ(trace.round_trips(), 1u);
+  EXPECT_EQ(trace.messages(), 1u);
 }
 
 TEST_F(BTreeTest, WarmUpdateUsesTwoRoundTrips) {
@@ -203,16 +204,16 @@ TEST_F(BTreeTest, WarmUpdateUsesTwoRoundTrips) {
   std::string value;
   ASSERT_TRUE(tree().Get(Target::Tip(), EncodeUserKey(200), &value).ok());
 
-  net::OpTrace trace;
-  trace.Reset(cluster_->config().n_memnodes);
-  net::Fabric::SetThreadTrace(&trace);
-  ASSERT_TRUE(
-      tree().Put(Target::Tip(), EncodeUserKey(200), EncodeValue(9)).ok());
-  net::Fabric::SetThreadTrace(nullptr);
+  obs::TraceContext trace;
+  {
+    obs::ScopedTrace scoped(&trace);
+    ASSERT_TRUE(
+        tree().Put(Target::Tip(), EncodeUserKey(200), EncodeValue(9)).ok());
+  }
   // Leaf fetch (1 round trip) + one-phase commit at the leaf's memnode
   // (1 round trip), no split involved.
-  EXPECT_EQ(trace.round_trips, 2u);
-  EXPECT_EQ(trace.messages, 2u);
+  EXPECT_EQ(trace.round_trips(), 2u);
+  EXPECT_EQ(trace.messages(), 2u);
 }
 
 TEST_F(BTreeTest, DirtyTraversalKeepsReadSetSmall) {

@@ -7,6 +7,7 @@
 
 #include "cdb/cdb.h"
 #include "common/key_codec.h"
+#include "obs/trace.h"
 
 namespace minuet::cdb {
 namespace {
@@ -55,37 +56,37 @@ TEST_F(CdbTest, TablesAreIndependent) {
 
 TEST_F(CdbTest, SingleKeyReadTouchesOnePartition) {
   ASSERT_TRUE(cdb_->Insert(0, "key", "v").ok());
-  net::OpTrace trace;
-  trace.Reset(kPartitions);
-  net::Fabric::SetThreadTrace(&trace);
   std::string value;
-  ASSERT_TRUE(cdb_->Read(0, "key", &value).ok());
-  net::Fabric::SetThreadTrace(nullptr);
-  EXPECT_EQ(trace.messages, 1u);
-  EXPECT_EQ(trace.round_trips, 1u);
+  obs::TraceContext trace;
+  {
+    obs::ScopedTrace scoped(&trace);
+    ASSERT_TRUE(cdb_->Read(0, "key", &value).ok());
+  }
+  EXPECT_EQ(trace.messages(), 1u);
+  EXPECT_EQ(trace.round_trips(), 1u);
 }
 
 TEST_F(CdbTest, WriteReplicatesToBackup) {
-  net::OpTrace trace;
-  trace.Reset(kPartitions);
-  net::Fabric::SetThreadTrace(&trace);
-  ASSERT_TRUE(cdb_->Insert(0, "key", "v").ok());
-  net::Fabric::SetThreadTrace(nullptr);
-  EXPECT_EQ(trace.messages, 2u);  // primary + backup
+  obs::TraceContext trace;
+  {
+    obs::ScopedTrace scoped(&trace);
+    ASSERT_TRUE(cdb_->Insert(0, "key", "v").ok());
+  }
+  EXPECT_EQ(trace.messages(), 2u);  // primary + backup
 }
 
 TEST_F(CdbTest, ScanBroadcastsToAllPartitions) {
   for (uint64_t i = 0; i < 200; i++) {
     ASSERT_TRUE(cdb_->Insert(0, EncodeUserKey(i), EncodeValue(i)).ok());
   }
-  net::OpTrace trace;
-  trace.Reset(kPartitions);
-  net::Fabric::SetThreadTrace(&trace);
   std::vector<std::pair<std::string, std::string>> out;
-  ASSERT_TRUE(cdb_->Scan(0, EncodeUserKey(50), 20, &out).ok());
-  net::Fabric::SetThreadTrace(nullptr);
-  EXPECT_EQ(trace.messages, kPartitions);  // every server engaged
-  EXPECT_EQ(trace.round_trips, 1u);        // in parallel
+  obs::TraceContext trace;
+  {
+    obs::ScopedTrace scoped(&trace);
+    ASSERT_TRUE(cdb_->Scan(0, EncodeUserKey(50), 20, &out).ok());
+  }
+  EXPECT_EQ(trace.messages(), kPartitions);  // every server engaged
+  EXPECT_EQ(trace.round_trips(), 1u);        // in parallel
 
   ASSERT_EQ(out.size(), 20u);
   EXPECT_EQ(out[0].first, EncodeUserKey(50));
@@ -97,19 +98,19 @@ TEST_F(CdbTest, ScanBroadcastsToAllPartitions) {
 TEST_F(CdbTest, DualKeyTransactionEngagesAllServers) {
   ASSERT_TRUE(cdb_->Insert(0, "a", "1").ok());
   ASSERT_TRUE(cdb_->Insert(1, "b", "2").ok());
-  net::OpTrace trace;
-  trace.Reset(kPartitions);
-  net::Fabric::SetThreadTrace(&trace);
   std::string v1, v2;
-  ASSERT_TRUE(cdb_->Read2(0, "a", &v1, 1, "b", &v2).ok());
-  net::Fabric::SetThreadTrace(nullptr);
+  obs::TraceContext trace;
+  {
+    obs::ScopedTrace scoped(&trace);
+    ASSERT_TRUE(cdb_->Read2(0, "a", &v1, 1, "b", &v2).ok());
+  }
   EXPECT_EQ(v1, "1");
   EXPECT_EQ(v2, "2");
   // Prepare round + commit round, each touching every partition. (CDB
   // models its own global 2PC directly and keeps the release on the
   // critical path — unlike Minuet's read-only minitransactions.)
-  EXPECT_EQ(trace.messages, 2u * kPartitions);
-  EXPECT_EQ(trace.round_trips, 2u);
+  EXPECT_EQ(trace.messages(), 2u * kPartitions);
+  EXPECT_EQ(trace.round_trips(), 2u);
 }
 
 TEST_F(CdbTest, DualKeyUpdateIsAtomicUnderConcurrency) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/byteio.h"
+#include "obs/trace.h"
 #include "sinfonia/coordinator.h"
 
 namespace minuet::sinfonia {
@@ -52,37 +53,42 @@ TEST_F(CoordinatorTest, SingleNodeWriteAndRead) {
 }
 
 TEST_F(CoordinatorTest, SingleNodeUsesOneMessage) {
-  net::OpTrace trace;
-  trace.Reset(kNodes);
-  net::Fabric::SetThreadTrace(&trace);
   MiniTxn w;
   w.AddCompare(Addr{2, 64}, std::string(8, '\0'));
   w.AddRead(Addr{2, 128}, 8);
   w.AddWrite(Addr{2, 64}, "12345678");
   MiniResult r;
-  ASSERT_TRUE(coord_->Execute(w, &r).ok());
-  net::Fabric::SetThreadTrace(nullptr);
+  obs::TraceContext trace;
+  {
+    obs::ScopedTrace scoped(&trace);
+    ASSERT_TRUE(coord_->Execute(w, &r).ok());
+  }
   EXPECT_TRUE(r.committed);
   // Collapsed one-phase protocol: exactly one message, one round trip.
-  EXPECT_EQ(trace.messages, 1u);
-  EXPECT_EQ(trace.round_trips, 1u);
+  EXPECT_EQ(trace.messages(), 1u);
+  EXPECT_EQ(trace.round_trips(), 1u);
 }
 
 TEST_F(CoordinatorTest, MultiNodeUsesTwoRounds) {
-  net::OpTrace trace;
-  trace.Reset(kNodes);
-  net::Fabric::SetThreadTrace(&trace);
   MiniTxn w;
   w.AddWrite(Addr{0, 64}, "a");
   w.AddWrite(Addr{1, 64}, "b");
   w.AddWrite(Addr{2, 64}, "c");
   MiniResult r;
-  ASSERT_TRUE(coord_->Execute(w, &r).ok());
-  net::Fabric::SetThreadTrace(nullptr);
+  obs::TraceContext trace;
+  {
+    obs::ScopedTrace scoped(&trace);
+    ASSERT_TRUE(coord_->Execute(w, &r).ok());
+  }
   EXPECT_TRUE(r.committed);
   // 2PC: prepare round (3 msgs) + commit round (3 msgs).
-  EXPECT_EQ(trace.messages, 6u);
-  EXPECT_EQ(trace.round_trips, 2u);
+  EXPECT_EQ(trace.messages(), 6u);
+  EXPECT_EQ(trace.round_trips(), 2u);
+  // The same context holds the execution's one coordinator-round span.
+  EXPECT_EQ(trace.rounds(), 1);
+  ASSERT_EQ(trace.spans().size(), 1u);
+  EXPECT_STREQ(trace.spans()[0].label, "2pc");
+  EXPECT_EQ(trace.spans()[0].participants, 3);
 }
 
 TEST_F(CoordinatorTest, MultiNodeAtomicAbortOnCompareFailure) {

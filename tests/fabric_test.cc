@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "net/fabric.h"
+#include "obs/trace.h"
 
 namespace minuet::net {
 namespace {
@@ -36,38 +37,40 @@ TEST(FabricTest, OutOfRangeNodeIsUnavailable) {
 
 TEST(FabricTest, TraceRecordsMessagesAndRoundTrips) {
   Fabric f(4);
-  OpTrace trace;
-  trace.Reset(4);
-  Fabric::SetThreadTrace(&trace);
-  ASSERT_TRUE(f.ChargeMessage(1).ok());
-  ASSERT_TRUE(f.ChargeMessage(2).ok());
-  Fabric::SetThreadTrace(nullptr);
-  EXPECT_EQ(trace.messages, 2u);
-  EXPECT_EQ(trace.round_trips, 2u);  // no batch: each message is a round
-  EXPECT_EQ(trace.per_node[1], 1u);
-  EXPECT_EQ(trace.per_node[2], 1u);
+  obs::TraceContext trace;
+  {
+    obs::ScopedTrace scoped(&trace);
+    ASSERT_TRUE(f.ChargeMessage(1).ok());
+    ASSERT_TRUE(f.ChargeMessage(2).ok());
+  }
+  EXPECT_EQ(trace.messages(), 2u);
+  EXPECT_EQ(trace.round_trips(), 2u);  // no batch: each message is a round
+  ASSERT_EQ(trace.per_node().size(), 3u);  // grows to the highest id charged
+  EXPECT_EQ(trace.per_node()[1], 1u);
+  EXPECT_EQ(trace.per_node()[2], 1u);
+  trace.Clear();
+  EXPECT_EQ(trace.messages(), 0u);
+  EXPECT_EQ(trace.round_trips(), 0u);
+  EXPECT_TRUE(trace.per_node().empty());
 }
 
 TEST(FabricTest, RoundTripScopeBatchesMessages) {
   Fabric f(4);
-  OpTrace trace;
-  trace.Reset(4);
-  Fabric::SetThreadTrace(&trace);
+  obs::TraceContext trace;
   {
+    obs::ScopedTrace scoped(&trace);
     RoundTripScope rt;
     for (NodeId n = 0; n < 4; n++) ASSERT_TRUE(f.ChargeMessage(n).ok());
   }
-  Fabric::SetThreadTrace(nullptr);
-  EXPECT_EQ(trace.messages, 4u);
-  EXPECT_EQ(trace.round_trips, 1u);
+  EXPECT_EQ(trace.messages(), 4u);
+  EXPECT_EQ(trace.round_trips(), 1u);
 }
 
 TEST(FabricTest, NestedScopesFlatten) {
   Fabric f(4);
-  OpTrace trace;
-  trace.Reset(4);
-  Fabric::SetThreadTrace(&trace);
+  obs::TraceContext trace;
   {
+    obs::ScopedTrace scoped(&trace);
     RoundTripScope outer;
     ASSERT_TRUE(f.ChargeMessage(0).ok());
     {
@@ -76,54 +79,42 @@ TEST(FabricTest, NestedScopesFlatten) {
     }
     ASSERT_TRUE(f.ChargeMessage(2).ok());
   }
-  Fabric::SetThreadTrace(nullptr);
-  EXPECT_EQ(trace.round_trips, 1u);
+  EXPECT_EQ(trace.round_trips(), 1u);
 }
 
 TEST(FabricTest, SequentialScopesChargeSeparately) {
   Fabric f(4);
-  OpTrace trace;
-  trace.Reset(4);
-  Fabric::SetThreadTrace(&trace);
+  obs::TraceContext trace;
   {
-    RoundTripScope rt;
-    ASSERT_TRUE(f.ChargeMessage(0).ok());
+    obs::ScopedTrace scoped(&trace);
+    {
+      RoundTripScope rt;
+      ASSERT_TRUE(f.ChargeMessage(0).ok());
+    }
+    {
+      RoundTripScope rt;
+      ASSERT_TRUE(f.ChargeMessage(1).ok());
+    }
   }
-  {
-    RoundTripScope rt;
-    ASSERT_TRUE(f.ChargeMessage(1).ok());
-  }
-  Fabric::SetThreadTrace(nullptr);
-  EXPECT_EQ(trace.round_trips, 2u);
+  EXPECT_EQ(trace.round_trips(), 2u);
 }
 
 TEST(FabricTest, TraceIsPerThread) {
   Fabric f(2);
-  OpTrace main_trace;
-  main_trace.Reset(2);
-  Fabric::SetThreadTrace(&main_trace);
-
-  OpTrace thread_trace;
-  thread_trace.Reset(2);
-  std::thread t([&] {
-    Fabric::SetThreadTrace(&thread_trace);
-    ASSERT_TRUE(f.ChargeMessage(0).ok());
-    ASSERT_TRUE(f.ChargeMessage(0).ok());
-    Fabric::SetThreadTrace(nullptr);
-  });
-  t.join();
-  ASSERT_TRUE(f.ChargeMessage(1).ok());
-  Fabric::SetThreadTrace(nullptr);
-
-  EXPECT_EQ(thread_trace.messages, 2u);
-  EXPECT_EQ(main_trace.messages, 1u);
-}
-
-TEST(FabricTest, ResetCountersZeroes) {
-  Fabric f(2);
-  ASSERT_TRUE(f.ChargeMessage(0).ok());
-  f.ResetCounters();
-  EXPECT_EQ(f.TotalMessages(), 0u);
+  obs::TraceContext main_trace;
+  obs::TraceContext thread_trace;
+  {
+    obs::ScopedTrace scoped(&main_trace);
+    std::thread t([&] {
+      obs::ScopedTrace thread_scoped(&thread_trace);
+      ASSERT_TRUE(f.ChargeMessage(0).ok());
+      ASSERT_TRUE(f.ChargeMessage(0).ok());
+    });
+    t.join();
+    ASSERT_TRUE(f.ChargeMessage(1).ok());
+  }
+  EXPECT_EQ(thread_trace.messages(), 2u);
+  EXPECT_EQ(main_trace.messages(), 1u);
 }
 
 TEST(FabricTest, ConcurrentChargesAreCounted) {

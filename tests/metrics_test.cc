@@ -182,9 +182,14 @@ TEST(MetricsTest, TraceSpanOrdering) {
   EXPECT_NE(timeline.find("round 1.0 2pc"), std::string::npos);
   EXPECT_NE(timeline.find("attempt 0 outcome="), std::string::npos);
 
+  EXPECT_EQ(trace.validation_aborts(), 0u);  // a busy attempt is not one
+
   trace.Clear();
   EXPECT_EQ(trace.rounds(), 0);
   EXPECT_TRUE(trace.spans().empty());
+  // Validation aborts are read from the attempt spans.
+  trace.RecordAttemptEnd(Status::Aborted(AbortReason::kValidationConflict));
+  EXPECT_EQ(trace.validation_aborts(), 1u);
 }
 
 TEST(MetricsTest, AbortTaxonomyClassification) {

@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/trace.h"
 #include "txn/txn.h"
 
 namespace minuet::txn {
@@ -130,16 +131,16 @@ TEST_F(TxnTest, ReadOnlyTxnCommitsWithoutExtraMessages) {
     ASSERT_TRUE(t.WriteNew(ref, std::string(16, 'a')).ok());
     ASSERT_TRUE(t.Commit().ok());
   }
-  net::OpTrace trace;
-  trace.Reset(kNodes);
-  net::Fabric::SetThreadTrace(&trace);
-  DynamicTxn t(coord_.get(), nullptr);
-  ASSERT_TRUE(t.Read(ref).ok());
-  ASSERT_TRUE(t.Commit().ok());
-  net::Fabric::SetThreadTrace(nullptr);
+  obs::TraceContext trace;
+  {
+    obs::ScopedTrace scoped(&trace);
+    DynamicTxn t(coord_.get(), nullptr);
+    ASSERT_TRUE(t.Read(ref).ok());
+    ASSERT_TRUE(t.Commit().ok());
+  }
   // One fetch, and the piggy-backed validation makes commit free.
-  EXPECT_EQ(trace.messages, 1u);
-  EXPECT_EQ(trace.round_trips, 1u);
+  EXPECT_EQ(trace.messages(), 1u);
+  EXPECT_EQ(trace.round_trips(), 1u);
 }
 
 TEST_F(TxnTest, PiggybackDetectsStalenessAtNextFetch) {
@@ -198,18 +199,16 @@ TEST_F(TxnTest, DirtyReadServedFromCache) {
     ASSERT_TRUE(t.DirtyRead(ref).ok());  // miss → fills cache
     ASSERT_TRUE(t.Commit().ok());
   }
-  net::OpTrace trace;
-  trace.Reset(kNodes);
-  net::Fabric::SetThreadTrace(&trace);
+  obs::TraceContext trace;
   {
+    obs::ScopedTrace scoped(&trace);
     DynamicTxn t(coord_.get(), &cache, {});
     auto v = t.DirtyRead(ref);
     ASSERT_TRUE(v.ok());
     EXPECT_EQ((*v)[0], 'a');
     ASSERT_TRUE(t.Commit().ok());
   }
-  net::Fabric::SetThreadTrace(nullptr);
-  EXPECT_EQ(trace.messages, 0u);  // served entirely from the proxy cache
+  EXPECT_EQ(trace.messages(), 0u);  // served entirely from the proxy cache
 }
 
 TEST_F(TxnTest, WriteUnreadObjectFetchesForValidation) {
@@ -292,19 +291,20 @@ TEST_F(TxnTest, ReplicatedReadPlusLeafWriteCommitsAtSingleMemnode) {
   // The paper's fast path: read the replicated tip + write one leaf; the
   // read-validation happens at the leaf's memnode, so the whole commit is
   // one single-memnode (one-phase) minitransaction.
-  net::OpTrace trace;
-  trace.Reset(kNodes);
-  net::Fabric::SetThreadTrace(&trace);
-  DynamicTxn t(coord_.get(), nullptr);
-  ASSERT_TRUE(t.Read(leaf).ok());   // leaf first: home established
-  ASSERT_TRUE(t.Read(rep).ok());    // replica read lands on memnode 2
-  ASSERT_TRUE(t.Write(leaf, std::string(16, 'm')).ok());
-  ASSERT_TRUE(t.Commit().ok());
-  net::Fabric::SetThreadTrace(nullptr);
+  obs::TraceContext trace;
+  {
+    obs::ScopedTrace scoped(&trace);
+    DynamicTxn t(coord_.get(), nullptr);
+    ASSERT_TRUE(t.Read(leaf).ok());   // leaf first: home established
+    ASSERT_TRUE(t.Read(rep).ok());    // replica read lands on memnode 2
+    ASSERT_TRUE(t.Write(leaf, std::string(16, 'm')).ok());
+    ASSERT_TRUE(t.Commit().ok());
+  }
   // fetch leaf (1) + fetch rep at same node (1) + one-phase commit (1).
-  EXPECT_EQ(trace.messages, 3u);
-  EXPECT_EQ(trace.per_node[2], 3u);
-  EXPECT_EQ(trace.per_node[0] + trace.per_node[1], 0u);
+  EXPECT_EQ(trace.messages(), 3u);
+  ASSERT_EQ(trace.per_node().size(), 3u);
+  EXPECT_EQ(trace.per_node()[2], 3u);
+  EXPECT_EQ(trace.per_node()[0] + trace.per_node()[1], 0u);
 }
 
 TEST_F(TxnTest, RepSeqOffsetMirrorsSeqnumEverywhere) {

@@ -12,7 +12,7 @@
 #include "common/key_codec.h"
 #include "common/random.h"
 #include "minuet/cluster.h"
-#include "net/fabric.h"
+#include "obs/trace.h"
 
 namespace minuet {
 namespace {
@@ -593,19 +593,21 @@ TEST(ViewTest, MultiGetBatchesLeafReadsIntoOneRound) {
   std::vector<std::optional<std::string>> values;
   ASSERT_TRUE(tip.MultiGet(keys, &values).ok());  // warm the proxy cache
 
-  net::OpTrace trace;
-  trace.Reset(opts.machines);
-  net::Fabric::SetThreadTrace(&trace);
-  ASSERT_TRUE(tip.MultiGet(keys, &values).ok());
-  const uint64_t batched_rounds = trace.round_trips;
-  trace.Reset(opts.machines);
-  for (const std::string& key : keys) {
-    std::string value;
-    Status st = tip.Get(key, &value);
-    ASSERT_TRUE(st.ok() || st.IsNotFound()) << st.ToString();
+  obs::TraceContext trace;
+  uint64_t batched_rounds = 0;
+  uint64_t loop_rounds = 0;
+  {
+    obs::ScopedTrace scoped(&trace);
+    ASSERT_TRUE(tip.MultiGet(keys, &values).ok());
+    batched_rounds = trace.round_trips();
+    trace.Clear();
+    for (const std::string& key : keys) {
+      std::string value;
+      Status st = tip.Get(key, &value);
+      ASSERT_TRUE(st.ok() || st.IsNotFound()) << st.ToString();
+    }
+    loop_rounds = trace.round_trips();
   }
-  const uint64_t loop_rounds = trace.round_trips;
-  net::Fabric::SetThreadTrace(nullptr);
 
   // Warm cache: the whole batched MultiGet is ONE leaf-read
   // minitransaction — 1 round trip single-node, 2 when it spans memnodes
@@ -778,33 +780,35 @@ TEST(ViewTest, ColdMultiGetCostsAtMostDepthPlusTwoRounds) {
   }
   std::vector<std::optional<std::string>> values;
 
-  net::OpTrace trace;
-  trace.Reset(opts.machines);
+  obs::TraceContext trace;
+  uint64_t tip_cold = 0;
+  uint64_t snap_cold = 0;
+  uint64_t serial_cold = 0;
+  {
+    obs::ScopedTrace scoped(&trace);
+    cluster.DropProxyCaches();
+    ASSERT_TRUE(tip.MultiGet(keys, &values).ok());
+    tip_cold = trace.round_trips();
 
-  cluster.DropProxyCaches();
-  net::Fabric::SetThreadTrace(&trace);
-  ASSERT_TRUE(tip.MultiGet(keys, &values).ok());
-  const uint64_t tip_cold = trace.round_trips;
+    cluster.DropProxyCaches();
+    trace.Clear();
+    ASSERT_TRUE(snap->MultiGet(keys, &values).ok());
+    snap_cold = trace.round_trips();
 
-  cluster.DropProxyCaches();
-  trace.Reset(opts.machines);
-  ASSERT_TRUE(snap->MultiGet(keys, &values).ok());
-  const uint64_t snap_cold = trace.round_trips;
-
-  // The pre-engine baseline: per-key descents in one transaction.
-  cluster.DropProxyCaches();
-  trace.Reset(opts.machines);
-  ASSERT_TRUE(p.Transaction([&](txn::DynamicTxn& txn) -> Status {
-                 for (const std::string& key : keys) {
-                   std::string value;
-                   Status st = t->GetInTxn(txn, btree::Target::Tip(), key,
-                                           &value);
-                   if (!st.ok() && !st.IsNotFound()) return st;
-                 }
-                 return Status::OK();
-               }).ok());
-  const uint64_t serial_cold = trace.round_trips;
-  net::Fabric::SetThreadTrace(nullptr);
+    // The pre-engine baseline: per-key descents in one transaction.
+    cluster.DropProxyCaches();
+    trace.Clear();
+    ASSERT_TRUE(p.Transaction([&](txn::DynamicTxn& txn) -> Status {
+                   for (const std::string& key : keys) {
+                     std::string value;
+                     Status st = t->GetInTxn(txn, btree::Target::Tip(), key,
+                                             &value);
+                     if (!st.ok() && !st.IsNotFound()) return st;
+                   }
+                   return Status::OK();
+                 }).ok());
+    serial_cold = trace.round_trips();
+  }
 
   EXPECT_LE(tip_cold, *depth + 2) << "depth " << *depth;
   EXPECT_LE(snap_cold, *depth + 2) << "depth " << *depth;
@@ -842,25 +846,27 @@ TEST(ViewTest, ColdApplyResolvesLeavesThroughBatchedDescent) {
   WriteBatch batch;
   for (const std::string& key : keys) batch.Put(*ta, key, "x");
 
-  net::OpTrace trace;
-  trace.Reset(opts.machines);
-  cluster.DropProxyCaches();
-  net::Fabric::SetThreadTrace(&trace);
-  ASSERT_TRUE(p.Apply(batch).ok());
-  const uint64_t batched = trace.round_trips;
+  obs::TraceContext trace;
+  uint64_t batched = 0;
+  uint64_t serial = 0;
+  {
+    obs::ScopedTrace scoped(&trace);
+    cluster.DropProxyCaches();
+    ASSERT_TRUE(p.Apply(batch).ok());
+    batched = trace.round_trips();
 
-  cluster.DropProxyCaches();
-  trace.Reset(opts.machines);
-  ASSERT_TRUE(p.Transaction([&](txn::DynamicTxn& txn) -> Status {
-                 for (const std::string& key : keys) {
-                   MINUET_RETURN_NOT_OK(
-                       p.tree(*tb)->PutInTxn(txn, btree::Target::Tip(), key,
-                                             "x"));
-                 }
-                 return Status::OK();
-               }).ok());
-  const uint64_t serial = trace.round_trips;
-  net::Fabric::SetThreadTrace(nullptr);
+    cluster.DropProxyCaches();
+    trace.Clear();
+    ASSERT_TRUE(p.Transaction([&](txn::DynamicTxn& txn) -> Status {
+                   for (const std::string& key : keys) {
+                     MINUET_RETURN_NOT_OK(
+                         p.tree(*tb)->PutInTxn(txn, btree::Target::Tip(), key,
+                                               "x"));
+                   }
+                   return Status::OK();
+                 }).ok());
+    serial = trace.round_trips();
+  }
 
   EXPECT_LT(batched, serial);
   // The serial loop descends per key; the batch's leaf resolution is one
@@ -1150,27 +1156,26 @@ TEST(ViewTest, PrewarmedFanoutPartitionsReadFirstChunksWarm) {
   for (const auto& part : *parts) starts.push_back(part.start);
 
   cluster.DropProxyCaches();
-  net::OpTrace trace;
-  trace.Reset(cluster.n_memnodes());
-  net::Fabric::SetThreadTrace(&trace);
-  ASSERT_TRUE(t->PrewarmSnapshotPaths(snap->ref(), starts).ok());
-  const uint64_t prewarm_rounds = trace.round_trips;
-  // The frontier engine: one batched round per internal level for ALL
-  // partition starts (plus nothing else — leaves are not fetched).
-  EXPECT_LE(prewarm_rounds, static_cast<uint64_t>(*depth));
+  obs::TraceContext trace;
+  {
+    obs::ScopedTrace scoped(&trace);
+    ASSERT_TRUE(t->PrewarmSnapshotPaths(snap->ref(), starts).ok());
+    // The frontier engine: one batched round per internal level for ALL
+    // partition starts (plus nothing else — leaves are not fetched).
+    EXPECT_LE(trace.round_trips(), static_cast<uint64_t>(*depth));
 
-  // Warm now: each partition's first chunk costs one leaf round, not a
-  // serial descent.
-  for (const auto& part : *parts) {
-    trace.Reset(cluster.n_memnodes());
-    Rows rows;
-    std::string resume;
-    ASSERT_TRUE(t->Scan(btree::Target::Snapshot(snap->ref()), part.start, 8,
-                        &rows, &resume)
-                    .ok());
-    EXPECT_LE(trace.round_trips, 1u) << "partition at " << part.start;
+    // Warm now: each partition's first chunk costs one leaf round, not a
+    // serial descent.
+    for (const auto& part : *parts) {
+      trace.Clear();
+      Rows rows;
+      std::string resume;
+      ASSERT_TRUE(t->Scan(btree::Target::Snapshot(snap->ref()), part.start,
+                          8, &rows, &resume)
+                      .ok());
+      EXPECT_LE(trace.round_trips(), 1u) << "partition at " << part.start;
+    }
   }
-  net::Fabric::SetThreadTrace(nullptr);
 
   // And the stitched fan-out scan (which performs the prewarm itself)
   // returns the full population after a fresh drop.
